@@ -45,13 +45,16 @@ type Kernel struct {
 	cfg   Config
 	buddy *Buddy
 
-	// allocs maps an allocation handle to its constituent PFN blocks.
+	// allocs maps an allocation handle to its constituent PFN blocks,
+	// in allocation order. A frame is located by walking them, so no
+	// per-page list is ever built.
 	allocs map[int32][]allocBlock
 
-	// freshUntouched marks frames allocated since restore whose first
-	// guest mapping is still pending: with PVMarking their first touch
+	// fresh is a bitset over guest frames: bit pfn is set while frame
+	// pfn belongs to a live allocation made since restore and its first
+	// guest mapping is still pending. With PVMarking that first touch
 	// faults at the mirrored gPFN.
-	freshUntouched map[int64]bool
+	fresh []uint64
 
 	// Statistics.
 	allocedPages int64
@@ -63,6 +66,9 @@ type allocBlock struct {
 	order int
 }
 
+// pages returns the number of frames in the block.
+func (bl allocBlock) pages() int64 { return int64(1) << bl.order }
+
 // NewKernel boots a guest kernel from a snapshot-time configuration.
 // rotateSalt perturbs the allocator free lists, modelling the
 // allocator-state drift between the record invocation and later
@@ -72,10 +78,10 @@ func NewKernel(cfg Config, rotateSalt int) (*Kernel, error) {
 		return nil, fmt.Errorf("guest: bad config: %d state of %d pages", cfg.StatePages, cfg.NrPages)
 	}
 	k := &Kernel{
-		cfg:            cfg,
-		buddy:          NewBuddy(cfg.StatePages, cfg.NrPages-cfg.StatePages),
-		allocs:         make(map[int32][]allocBlock),
-		freshUntouched: make(map[int64]bool),
+		cfg:    cfg,
+		buddy:  NewBuddy(cfg.StatePages, cfg.NrPages-cfg.StatePages),
+		allocs: make(map[int32][]allocBlock),
+		fresh:  make([]uint64, (cfg.NrPages+63)/64),
 	}
 	k.buddy.Rotate(rotateSalt)
 	return k, nil
@@ -94,17 +100,17 @@ func (k *Kernel) AllocatedPages() int64 { return k.allocedPages }
 func (k *Kernel) FreedPages() int64 { return k.freedPages }
 
 // Alloc allocates nPages frames under the given handle. Frames are
-// taken as maximal buddy blocks. The returned PFNs are the frames in
-// allocation order.
-func (k *Kernel) Alloc(handle int32, nPages int64) ([]int64, error) {
+// taken as maximal buddy blocks; PFNAt and ForEachPFN read them back in
+// allocation order. A failed allocation leaves no trace: the blocks
+// already taken go back to the buddy allocator unmarked.
+func (k *Kernel) Alloc(handle int32, nPages int64) error {
 	if _, dup := k.allocs[handle]; dup {
-		return nil, fmt.Errorf("guest: allocation handle %d in use", handle)
+		return fmt.Errorf("guest: allocation handle %d in use", handle)
 	}
 	if nPages <= 0 {
-		return nil, fmt.Errorf("guest: bad allocation size %d", nPages)
+		return fmt.Errorf("guest: bad allocation size %d", nPages)
 	}
 	var blocks []allocBlock
-	var pfns []int64
 	remaining := nPages
 	for remaining > 0 {
 		order := 0
@@ -113,22 +119,22 @@ func (k *Kernel) Alloc(handle int32, nPages int64) ([]int64, error) {
 		}
 		pfn, err := k.buddy.AllocBlock(order)
 		if err != nil {
-			// Roll back partial allocation.
+			// Roll back: the blocks taken so far are not marked
+			// fresh yet, so returning them is all it takes.
 			for _, bl := range blocks {
 				_ = k.buddy.FreeBlock(bl.pfn)
 			}
-			return nil, err
+			return err
 		}
 		blocks = append(blocks, allocBlock{pfn, order})
-		for i := int64(0); i < int64(1)<<order; i++ {
-			pfns = append(pfns, pfn+i)
-			k.freshUntouched[pfn+i] = true
-		}
 		remaining -= int64(1) << order
+	}
+	for _, bl := range blocks {
+		k.setFresh(bl, true)
 	}
 	k.allocs[handle] = blocks
 	k.allocedPages += nPages
-	return pfns, nil
+	return nil
 }
 
 // Free releases the allocation behind handle. With ZeroOnFree the
@@ -141,31 +147,63 @@ func (k *Kernel) Free(handle int32) error {
 	}
 	delete(k.allocs, handle)
 	for _, bl := range blocks {
-		n := int64(1) << bl.order
-		for i := int64(0); i < n; i++ {
-			delete(k.freshUntouched, bl.pfn+i)
-		}
+		k.setFresh(bl, false)
 		if err := k.buddy.FreeBlock(bl.pfn); err != nil {
 			return err
 		}
-		k.freedPages += n
+		k.freedPages += bl.pages()
 	}
 	return nil
 }
 
-// AllocPFNs returns the frames of a live allocation in order.
-func (k *Kernel) AllocPFNs(handle int32) ([]int64, bool) {
-	blocks, ok := k.allocs[handle]
-	if !ok {
-		return nil, false
-	}
-	var pfns []int64
-	for _, bl := range blocks {
-		for i := int64(0); i < int64(1)<<bl.order; i++ {
-			pfns = append(pfns, bl.pfn+i)
+// setFresh sets or clears the fresh bit of every frame in bl.
+func (k *Kernel) setFresh(bl allocBlock, on bool) {
+	for pfn := bl.pfn; pfn < bl.pfn+bl.pages(); pfn++ {
+		if on {
+			k.fresh[pfn>>6] |= 1 << (pfn & 63)
+		} else {
+			k.fresh[pfn>>6] &^= 1 << (pfn & 63)
 		}
 	}
-	return pfns, true
+}
+
+// PFNAt returns the frame at page offset off of a live allocation. It
+// walks the allocation's buddy blocks (at most nPages/2^MaxOrder +
+// MaxOrder of them) and allocates nothing. It reports false for an
+// unknown handle and for an offset outside [0, nPages).
+func (k *Kernel) PFNAt(handle int32, off int64) (int64, bool) {
+	if off < 0 {
+		return 0, false
+	}
+	for _, bl := range k.allocs[handle] {
+		if n := bl.pages(); off >= n {
+			off -= n
+			continue
+		}
+		return bl.pfn + off, true
+	}
+	return 0, false
+}
+
+// ForEachPFN calls fn on every frame of a live allocation in order and
+// reports whether the handle is live.
+func (k *Kernel) ForEachPFN(handle int32, fn func(pfn int64)) bool {
+	blocks, ok := k.allocs[handle]
+	for _, bl := range blocks {
+		for pfn := bl.pfn; pfn < bl.pfn+bl.pages(); pfn++ {
+			fn(pfn)
+		}
+	}
+	return ok
+}
+
+// AllocPFNs returns the frames of a live allocation in order. It builds
+// the whole list, so it is for tests and debugging; the invocation path
+// uses PFNAt and ForEachPFN.
+func (k *Kernel) AllocPFNs(handle int32) ([]int64, bool) {
+	var pfns []int64
+	ok := k.ForEachPFN(handle, func(pfn int64) { pfns = append(pfns, pfn) })
+	return pfns, ok
 }
 
 // TouchPFN translates a guest access to frame pfn into the gPFN the
@@ -174,9 +212,12 @@ func (k *Kernel) AllocPFNs(handle int32) ([]int64, bool) {
 // mirror state clears once reported, since the host maps both views on
 // handling the fault (§3.2).
 func (k *Kernel) TouchPFN(pfn int64) uint64 {
-	if k.cfg.PVMarking && k.freshUntouched[pfn] {
-		delete(k.freshUntouched, pfn)
-		return uint64(pfn) | MirrorBit
+	if k.cfg.PVMarking && pfn >= 0 && pfn < k.cfg.NrPages {
+		w, bit := &k.fresh[pfn>>6], uint64(1)<<(pfn&63)
+		if *w&bit != 0 {
+			*w &^= bit
+			return uint64(pfn) | MirrorBit
+		}
 	}
 	return uint64(pfn)
 }

@@ -168,10 +168,10 @@ func TestOpportunisticWriteMapping(t *testing.T) {
 func TestMirrorFaultServedAnonymously(t *testing.T) {
 	f := newFixture(t, true, false)
 	f.run(t, func(p *sim.Proc) {
-		pfns, err := f.g.Alloc(1, 4)
-		if err != nil {
+		if err := f.g.Alloc(1, 4); err != nil {
 			t.Fatal(err)
 		}
+		pfns, _ := f.g.AllocPFNs(1)
 		for _, pfn := range pfns {
 			f.vm.Access(p, pfn, true)
 		}
@@ -192,7 +192,8 @@ func TestMirrorFaultServedAnonymously(t *testing.T) {
 func TestMirrorFaultMapsBothViews(t *testing.T) {
 	f := newFixture(t, true, false)
 	f.run(t, func(p *sim.Proc) {
-		pfns, _ := f.g.Alloc(1, 1)
+		_ = f.g.Alloc(1, 1)
+		pfns, _ := f.g.AllocPFNs(1)
 		f.vm.Access(p, pfns[0], true) // mirror fault
 		before := f.vm.Stats().NestedFaults
 		f.vm.Access(p, pfns[0], true) // reuse via original gPFN: no fault
@@ -205,7 +206,8 @@ func TestMirrorFaultMapsBothViews(t *testing.T) {
 func TestWithoutPVAllocationsFetchSnapshot(t *testing.T) {
 	f := newFixture(t, false, false)
 	f.run(t, func(p *sim.Proc) {
-		pfns, _ := f.g.Alloc(1, 4)
+		_ = f.g.Alloc(1, 4)
+		pfns, _ := f.g.AllocPFNs(1)
 		for _, pfn := range pfns {
 			f.vm.Access(p, pfn, true)
 		}

@@ -254,24 +254,23 @@ func (vm *MicroVM) Invoke(p *sim.Proc, tr *trace.Trace) (InvokeStats, error) {
 		case trace.OpAccess:
 			vm.KVM.Access(p, op.Page, op.Write)
 		case trace.OpAlloc:
-			if _, err := vm.Guest.Alloc(op.Handle, int64(op.NPages)); err != nil {
+			if err := vm.Guest.Alloc(op.Handle, int64(op.NPages)); err != nil {
 				return InvokeStats{}, fmt.Errorf("vmm: %s: %w", vm.Name, err)
 			}
 		case trace.OpTouch:
-			pfns, ok := vm.Guest.AllocPFNs(op.Handle)
-			if !ok || int(op.Offset) >= len(pfns) {
+			pfn, ok := vm.Guest.PFNAt(op.Handle, int64(op.Offset))
+			if !ok {
 				return InvokeStats{}, fmt.Errorf("vmm: %s: bad touch handle=%d off=%d", vm.Name, op.Handle, op.Offset)
 			}
-			vm.KVM.Access(p, pfns[op.Offset], op.Write)
+			vm.KVM.Access(p, pfn, op.Write)
 		case trace.OpFree:
 			if vm.ZeroOnFree {
 				// FaaSnap's guest patch zeroes pages as they are
 				// freed: each page is written once more.
-				pfns, _ := vm.Guest.AllocPFNs(op.Handle)
-				for _, pfn := range pfns {
+				vm.Guest.ForEachPFN(op.Handle, func(pfn int64) {
 					vm.KVM.Access(p, pfn, true)
 					p.Sleep(vm.Host.CM.ZeroFillPage / 4) // memset of a hot page
-				}
+				})
 			}
 			if err := vm.Guest.Free(op.Handle); err != nil {
 				return InvokeStats{}, fmt.Errorf("vmm: %s: %w", vm.Name, err)

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -209,5 +210,38 @@ func TestDeterministicE2E(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic E2E: %v vs %v", a, b)
+	}
+}
+
+// TestInvokeBadTouch checks that a touch outside a live allocation
+// fails the invocation with a "bad touch" error instead of landing on
+// some other frame.
+func TestInvokeBadTouch(t *testing.T) {
+	alloc := trace.Op{Kind: trace.OpAlloc, Handle: 1, NPages: 4}
+	for _, tc := range []struct {
+		name string
+		ops  []trace.Op
+	}{
+		{"offset past end", []trace.Op{alloc, {Kind: trace.OpTouch, Handle: 1, Offset: 4}}},
+		{"negative offset", []trace.Op{alloc, {Kind: trace.OpTouch, Handle: 1, Offset: -1}}},
+		{"unknown handle", []trace.Op{alloc, {Kind: trace.OpTouch, Handle: 2}}},
+		{"freed allocation", []trace.Op{alloc, {Kind: trace.OpFree, Handle: 1}, {Kind: trace.OpTouch, Handle: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHost(blockdev.MicronSATA5300())
+			fn := smallFn()
+			img := BuildImage(fn, false)
+			ino := h.RegisterSnapshot("s", img)
+			var err error
+			h.Eng.Go("vm0", func(p *sim.Proc) {
+				vm, _ := h.Restore(p, "vm0", fn, img, ino, RestoreConfig{PVMarking: true})
+				vm.MapSnapshotDefault(p)
+				_, err = vm.Invoke(p, &trace.Trace{Ops: tc.ops})
+			})
+			h.Eng.Run()
+			if err == nil || !strings.Contains(err.Error(), "bad touch") {
+				t.Fatalf("Invoke error = %v, want a bad touch error", err)
+			}
+		})
 	}
 }

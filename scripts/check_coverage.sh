@@ -15,7 +15,9 @@ declare -A floors=(
   [snapbpf/internal/ebpf]=86.0
   [snapbpf/internal/ebpf/absint]=89.0
   [snapbpf/internal/pagecache]=84.0
+  [snapbpf/internal/guest]=94.5
   [snapbpf/internal/kvm]=78.0
+  [snapbpf/internal/vmm]=84.5
   [snapbpf/internal/prefetch]=61.0
   [snapbpf/internal/prefetch/faasnap]=87.0
   [snapbpf/internal/prefetch/faast]=76.0
