@@ -42,7 +42,6 @@ type Map struct {
 	// bpf(2) syscall cost of loading offsets into the kernel.
 	UserUpdates int64
 	ProgUpdates int64
-	Lookups     int64
 }
 
 // NewMap creates a map of the given type and capacity.
@@ -97,7 +96,6 @@ func (m *Map) Len() int {
 
 // Lookup returns the value for key and whether it is present.
 func (m *Map) Lookup(key uint64) (uint64, bool) {
-	m.Lookups++
 	switch m.typ {
 	case MapTypeHash:
 		v, ok := m.hash[key]

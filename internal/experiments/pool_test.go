@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"snapbpf/internal/prefetch"
+	"snapbpf/internal/sim"
+	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
 
@@ -98,6 +101,39 @@ func TestRunJobsPanicRecovered(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "job 1") {
 			t.Fatalf("parallel=%d: error does not identify the job: %v", par, err)
+		}
+	}
+}
+
+// panickyPrepare is Linux-RA with a PrepareVM that panics inside the
+// sandbox's simulated process.
+type panickyPrepare struct{ prefetch.Prefetcher }
+
+func (panickyPrepare) PrepareVM(*sim.Proc, *prefetch.Env, *vmm.MicroVM) error {
+	panic("prepare exploded")
+}
+
+// TestRunCellsProcPanicIsError: a panic inside a scheme's process body
+// surfaces from the engine on the cell's goroutine, where the pool
+// turns it into that cell's error; the other cells still complete.
+func TestRunCellsProcPanicIsError(t *testing.T) {
+	bad := Scheme{"Panicky", func() prefetch.Prefetcher { return panickyPrepare{prefetch.NewLinuxRA()} }}
+	cells := []Cell{
+		{Fn: tinyFn(), Scheme: SchemeLinuxRA, Cfg: Config{N: 2}},
+		{Fn: tinyFn(), Scheme: bad, Cfg: Config{N: 2}},
+	}
+	for _, par := range []int{1, 2} {
+		rs, err := RunCells(Options{Parallel: par}, cells)
+		if err == nil {
+			t.Fatalf("parallel=%d: no error from a panicking PrepareVM", par)
+		}
+		for _, want := range []string{"job 1 panicked", `process "vm0" panicked`, "prepare exploded"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("parallel=%d: error lacks %q: %v", par, want, err)
+			}
+		}
+		if rs[0] == nil || rs[1] != nil {
+			t.Fatalf("parallel=%d: results %v, want only cell 0", par, rs)
 		}
 	}
 }

@@ -40,3 +40,18 @@ func BenchmarkWaiterFireWake(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkProcPingPong alternates two processes, so every resume is a
+// hand-off from one process goroutine to the other.
+func BenchmarkProcPingPong(b *testing.B) {
+	e := NewEngine()
+	for k := 0; k < 2; k++ {
+		e.GoAfter(Duration(k), "p", func(p *Proc) {
+			for i := 0; i < (b.N+1)/2; i++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}

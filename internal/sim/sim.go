@@ -5,15 +5,29 @@
 // priority queue of events. Simulated activities — a VMM restoring a
 // snapshot, a function faulting on guest memory, an SSD completing a
 // read — are modelled either as plain scheduled callbacks or as
-// Processes: goroutines that run one at a time under the engine's
-// control and can block on virtual time (Sleep) or on conditions
-// (Waiter). Exactly one goroutine (the engine or a single process) is
-// runnable at any instant, so simulations are fully deterministic:
-// events at equal timestamps fire in scheduling order.
+// Processes: goroutines that run one at a time and can block on virtual
+// time (Sleep) or on conditions (Waiter, Semaphore). Exactly one
+// goroutine holds control at any instant, so simulations are fully
+// deterministic: events at equal timestamps fire in scheduling order.
+//
+// Control passes from goroutine to goroutine without a central
+// scheduler goroutine. Whichever goroutine holds control — the caller
+// of Run/RunUntil, or a process that just blocked or finished — runs
+// the dispatch loop itself: callbacks execute inline, and the first
+// event that resumes a process ends the loop. A process whose own
+// resume comes next carries on with no goroutine switch; otherwise
+// control moves to the resumed process in one channel send, or back
+// to Run when nothing more is due. Run is therefore not reentrant: a
+// callback or process that calls Run panics. A panic in a process, or
+// in a callback dispatched on a process's goroutine, is recovered
+// there and re-raised from Run on the caller's goroutine, naming the
+// process and carrying the original stack.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"runtime/debug"
 	"time"
 )
 
@@ -36,24 +50,31 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+	fn  func() // callback; nil for a process resume
+	p   *Proc  // process to resume when fn is nil
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create engines with NewEngine.
 type Engine struct {
-	now    Time
-	queue  []*event // binary min-heap ordered by (at, seq)
-	free   []*event // recycled events, so steady-state dispatch allocates nothing
-	batch  []*event // reusable buffer for same-timestamp dispatch
-	seq    uint64
-	nprocs int // live (not yet finished) processes
-	obs    Observer
+	now   Time
+	queue []*event // binary min-heap ordered by (at, seq)
+	free  []*event // recycled events, so steady-state dispatch allocates nothing
+	seq   uint64
+	// batchSeq delimits the batch in progress: events at now with
+	// seq <= batchSeq were scheduled before the batch began and run
+	// without another ClockAdvanced. It lives on the engine, not on a
+	// stack, so whichever goroutine holds control can continue a batch.
+	batchSeq uint64
+	until    Time // dispatch horizon of the Run/RunUntil in progress
+	running  bool
+	nprocs   int // live (not yet finished) processes
+	obs      Observer
 
-	// running is closed-loop control for process handoff: the engine
-	// resumes a process by sending on its resume channel and waits on
-	// yield until the process blocks or finishes.
-	yield chan struct{}
+	// home carries control back to the goroutine in Run/RunUntil when
+	// a process finds no event due before the horizon.
+	home    chan struct{}
+	failure string // a panic recovered on a process goroutine, re-raised by Run
 }
 
 // Observer receives engine scheduling events. It exists for the
@@ -74,7 +95,7 @@ func (e *Engine) SetObserver(obs Observer) { e.obs = obs }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{home: make(chan struct{})}
 }
 
 // eventLess orders the heap by timestamp, FIFO among equal timestamps.
@@ -150,7 +171,7 @@ const maxFree = 1024
 
 // recycle returns a dispatched event to the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.fn, ev.p = nil, nil
 	if len(e.free) < maxFree {
 		e.free = append(e.free, ev)
 	}
@@ -165,13 +186,7 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.seq++
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = e.now.Add(delay), e.seq, fn
-	if e.obs != nil {
-		e.obs.EventScheduled(ev.at)
-	}
-	e.push(ev)
+	e.schedule(e.now.Add(delay), fn, nil)
 }
 
 // ScheduleAt runs fn at absolute time at (clamped to now).
@@ -179,53 +194,77 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
+	e.schedule(at, fn, nil)
+}
+
+// schedule queues a callback fn, or a resume of p when fn is nil, at
+// at >= now.
+func (e *Engine) schedule(at Time, fn func(), p *Proc) {
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	ev.at, ev.seq, ev.fn, ev.p = at, e.seq, fn, p
 	if e.obs != nil {
-		e.obs.EventScheduled(ev.at)
+		e.obs.EventScheduled(at)
 	}
 	e.push(ev)
 }
 
-// dispatchBatch pops every event carrying the head timestamp and runs
-// them in sequence order. Batching advances the clock once per distinct
-// timestamp and lets events scheduled *during* the batch (which always
-// carry higher sequence numbers) land in the heap without disturbing
-// the events already drained for this instant.
-func (e *Engine) dispatchBatch() {
-	ev := e.pop()
-	e.now = ev.at
-	if e.obs != nil {
-		e.obs.ClockAdvanced(e.now)
+// next pops the next event due at or before the horizon, or returns
+// nil when none is. An event outside the batch in progress opens a new
+// batch: the clock moves to its timestamp once, and every event queued
+// by then at that instant joins the batch, while events scheduled at
+// the same instant during the batch carry higher sequence numbers and
+// form the next one.
+func (e *Engine) next() *event {
+	if len(e.queue) == 0 {
+		return nil
 	}
-	if len(e.queue) == 0 || e.queue[0].at != ev.at {
-		// Fast path: a lone event at this instant.
-		ev.fn()
+	head := e.queue[0]
+	if head.at > e.until {
+		return nil
+	}
+	if head.at != e.now || head.seq > e.batchSeq {
+		e.now, e.batchSeq = head.at, e.seq
+		if e.obs != nil {
+			e.obs.ClockAdvanced(e.now)
+		}
+	}
+	return e.pop()
+}
+
+// dispatch runs due callbacks on the calling goroutine and returns the
+// first process to resume, or nil when no event is due.
+func (e *Engine) dispatch() *Proc {
+	for {
+		ev := e.next()
+		if ev == nil {
+			return nil
+		}
+		fn, p := ev.fn, ev.p
 		e.recycle(ev)
+		if fn == nil {
+			return p
+		}
+		fn()
+	}
+}
+
+// handOff passes control from a process goroutine to p, or back to
+// Run when p is nil.
+func (e *Engine) handOff(p *Proc) {
+	if p == nil {
+		e.home <- struct{}{}
 		return
 	}
-	t := ev.at
-	batch := append(e.batch[:0], ev)
-	e.batch = nil // reentrant dispatch (an fn draining the engine) gets its own buffer
-	for len(e.queue) > 0 && e.queue[0].at == t {
-		batch = append(batch, e.pop())
-	}
-	for i, ev := range batch {
-		ev.fn()
-		batch[i] = nil
-		e.recycle(ev)
-	}
-	e.batch = batch[:0]
+	p.resume()
 }
 
 // Run processes events until the queue is empty. It returns the final
 // virtual time. Run panics if a process is still blocked when the
-// queue drains (a deadlock in the simulated system).
+// queue drains (a deadlock in the simulated system), if a process
+// panicked, or if it is called while the engine is already running.
 func (e *Engine) Run() Time {
-	for len(e.queue) > 0 {
-		e.dispatchBatch()
-	}
+	e.run(math.MaxInt64)
 	if e.nprocs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", e.nprocs, e.now))
 	}
@@ -235,23 +274,39 @@ func (e *Engine) Run() Time {
 // RunUntil processes events with timestamps <= deadline and then stops,
 // setting the clock to deadline. Blocked processes are left blocked.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.dispatchBatch()
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
 }
 
+// run dispatches events due at or before until. Control may travel
+// through any number of processes before one of them sends it home.
+func (e *Engine) run(until Time) {
+	if e.running {
+		panic("sim: Run called while the engine is running")
+	}
+	e.running, e.until = true, until
+	if p := e.dispatch(); p != nil {
+		p.resume()
+		<-e.home
+	}
+	e.running = false
+	if msg := e.failure; msg != "" {
+		e.failure = ""
+		panic(msg)
+	}
+}
+
 // Proc is a sequential simulated process backed by a goroutine. All
 // Proc methods must be called from the process's own goroutine (inside
 // the function passed to Go).
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	name string
+	fn   func(p *Proc) // body, until the first dispatch starts the goroutine
+	wake chan struct{} // control arrives here while the process is blocked
 }
 
 // Engine returns the engine this process runs on.
@@ -271,33 +326,54 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoAfter starts fn as a simulated process after delay.
 func (e *Engine) GoAfter(delay Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	if delay < 0 {
+		delay = 0
+	}
+	p := &Proc{eng: e, name: name, fn: fn, wake: make(chan struct{})}
 	e.nprocs++
-	e.Schedule(delay, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			e.nprocs--
-			e.yield <- struct{}{}
-		}()
-		p.run()
-	})
+	e.schedule(e.now.Add(delay), nil, p)
 	return p
 }
 
-// run hands control to the process goroutine and waits for it to block
-// (Sleep/Wait) or finish.
-func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.eng.yield
+// resume gives control to p: its first dispatch starts the goroutine,
+// later ones wake it inside block.
+func (p *Proc) resume() {
+	if fn := p.fn; fn != nil {
+		p.fn = nil
+		go p.main(fn)
+		return
+	}
+	p.wake <- struct{}{}
 }
 
-// block suspends the process goroutine and returns control to the
-// engine; the process resumes when something sends on p.resume.
+// main is the body of a process goroutine. When fn returns, the
+// finished process keeps dispatching until it hands control on. A
+// panic is recorded for Run to re-raise, and control goes home.
+func (p *Proc) main(fn func(p *Proc)) {
+	e := p.eng
+	defer func() {
+		if r := recover(); r != nil {
+			e.failure = fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack())
+			e.home <- struct{}{}
+		}
+	}()
+	fn(p)
+	e.nprocs--
+	e.handOff(e.dispatch())
+}
+
+// block suspends the process until its resume event is dispatched.
+// Meanwhile the process's goroutine runs the dispatch loop: if its own
+// resume is next it returns at once, otherwise it hands control on and
+// waits for it to come back.
 func (p *Proc) block() {
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	e := p.eng
+	q := e.dispatch()
+	if q == p {
+		return
+	}
+	e.handOff(q)
+	<-p.wake
 }
 
 // Sleep advances the process by d of virtual time.
@@ -306,7 +382,7 @@ func (p *Proc) Sleep(d Duration) {
 		// Even a zero sleep is a scheduling point (FIFO fairness).
 		d = 0
 	}
-	p.eng.Schedule(d, p.run)
+	p.eng.schedule(p.eng.now.Add(d), nil, p)
 	p.block()
 }
 
@@ -341,8 +417,7 @@ func (w *Waiter) Fire() {
 	ws := w.waiters
 	w.waiters = nil
 	for _, p := range ws {
-		proc := p
-		w.eng.Schedule(0, proc.run)
+		w.eng.schedule(w.eng.now, nil, p)
 	}
 }
 
@@ -395,8 +470,12 @@ func (p *Proc) Acquire(s *Semaphore) {
 func (s *Semaphore) Release() {
 	if len(s.queue) > 0 {
 		p := s.queue[0]
-		s.queue = s.queue[1:]
-		s.eng.Schedule(0, p.run)
+		// Shift down rather than reslice, so the queue's buffer is
+		// reused and a steady-state hand-off allocates nothing.
+		n := copy(s.queue, s.queue[1:])
+		s.queue[n] = nil
+		s.queue = s.queue[:n]
+		s.eng.schedule(s.eng.now, nil, p)
 		return
 	}
 	s.avail++

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -87,18 +89,46 @@ func TestZeroSleepIsSchedulingPoint(t *testing.T) {
 }
 
 func TestManyProcsStress(t *testing.T) {
+	// Processes, waiters, a semaphore and timer callbacks all mixed:
+	// callbacks run on whichever goroutine holds control, so under
+	// -race this checks that every hand-off orders the state it shares.
 	e := NewEngine()
-	done := 0
-	for i := 0; i < 2000; i++ {
+	const n = 2000
+	sem := e.NewSemaphore(8)
+	gates := make([]*Waiter, 16)
+	for i := range gates {
+		gates[i] = e.NewWaiter()
+		e.Schedule(Duration(50+7*i), gates[i].Fire)
+	}
+	done, timers, held, maxHeld := 0, 0, 0, 0
+	for i := 0; i < n; i++ {
 		i := i
 		e.Go("p", func(p *Proc) {
 			p.Sleep(Duration(i % 97))
+			p.Wait(gates[i%len(gates)])
+			p.Acquire(sem)
+			held++
+			if held > maxHeld {
+				maxHeld = held
+			}
+			e.Schedule(Duration(i%5), func() { timers++ })
+			p.Sleep(Duration(i % 3))
+			held--
+			if i%2 == 0 {
+				sem.Release()
+			} else {
+				// Release from a callback instead of the process.
+				e.Schedule(1, sem.Release)
+			}
 			done++
 		})
 	}
 	e.Run()
-	if done != 2000 {
-		t.Fatalf("done = %d", done)
+	if done != n || timers != n {
+		t.Fatalf("done = %d, timers = %d, want %d", done, timers, n)
+	}
+	if maxHeld != 8 || sem.Available() != 8 {
+		t.Fatalf("maxHeld = %d, available = %d, want 8", maxHeld, sem.Available())
 	}
 }
 
@@ -160,5 +190,141 @@ func TestEventReuseAcrossRuns(t *testing.T) {
 	}
 	if fired != 50*40 {
 		t.Fatalf("fired = %d, want %d", fired, 50*40)
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	cases := []struct {
+		name string
+		boom func(e *Engine)
+	}{
+		{"process body", func(e *Engine) {
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(5)
+				panic("boom")
+			})
+		}},
+		// The callback at 5 is dispatched by "bad" while it blocks, so
+		// it panics on that process's goroutine.
+		{"callback on process goroutine", func(e *Engine) {
+			e.Schedule(5, func() { panic("boom") })
+			e.Go("bad", func(p *Proc) { p.Sleep(10) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Go("ok", func(p *Proc) { p.Sleep(100) })
+			tc.boom(e)
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{`process "bad" panicked`, "boom", "TestProcPanicSurfacesFromRun"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q lacks %q", msg, want)
+					}
+				}
+			}()
+			e.Run()
+			t.Fatal("Run returned")
+		})
+	}
+}
+
+func TestRunIsNotReentrant(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() { e.Run() })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "while the engine is running") {
+			t.Fatalf("panic = %q", msg)
+		}
+	}()
+	e.Run()
+	t.Fatal("nested Run returned")
+}
+
+func TestWakeAllocs(t *testing.T) {
+	// Each measured step resumes one blocked process; events come from
+	// the free list, so no step may allocate.
+	const runs = 100
+	t.Run("sleep", func(t *testing.T) {
+		e := NewEngine()
+		e.Go("sleeper", func(p *Proc) {
+			for i := 0; i < 2*runs; i++ {
+				p.Sleep(1)
+			}
+		})
+		e.RunUntil(0)
+		allocs := testing.AllocsPerRun(runs, func() { e.RunUntil(e.Now() + 1) })
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Sleep: %v allocs/op", allocs)
+		}
+	})
+	t.Run("waiter", func(t *testing.T) {
+		e := NewEngine()
+		ws := make([]*Waiter, 2*runs)
+		for i := range ws {
+			w := e.NewWaiter()
+			ws[i] = w
+			e.Go("w", func(p *Proc) { p.Wait(w) })
+		}
+		e.RunUntil(0) // every process registers and blocks
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			ws[next].Fire()
+			next++
+			e.RunUntil(e.Now())
+		})
+		for _, w := range ws[next:] {
+			w.Fire()
+		}
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Waiter wake: %v allocs/op", allocs)
+		}
+	})
+	t.Run("semaphore", func(t *testing.T) {
+		// Two processes pass one permit back and forth: every Release
+		// wakes the other process, which had queued in Acquire.
+		e := NewEngine()
+		s := e.NewSemaphore(1)
+		for k := 0; k < 2; k++ {
+			e.Go("s", func(p *Proc) {
+				for i := 0; i < 2*runs; i++ {
+					p.Acquire(s)
+					p.Sleep(1)
+					s.Release()
+				}
+			})
+		}
+		e.RunUntil(0)
+		allocs := testing.AllocsPerRun(runs, func() { e.RunUntil(e.Now() + 1) })
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Semaphore.Release wake: %v allocs/op", allocs)
+		}
+	})
+}
+
+func TestFinishedProcsExit(t *testing.T) {
+	// A finished process hands control on and its goroutine returns, so
+	// a drained engine leaves no process goroutines behind.
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < 100; i++ {
+		i := i
+		e.Go("p", func(p *Proc) {
+			p.Sleep(Duration(i % 7))
+			p.Sleep(1)
+		})
+	}
+	e.Run()
+	// The last goroutine may still be returning from its final hand-off.
+	for yields := 0; runtime.NumGoroutine() > before; yields++ {
+		if yields == 1_000_000 {
+			t.Fatalf("goroutines: %d before, %d after Run", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }
