@@ -116,3 +116,21 @@ func TestEvolveTagDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCheckedPinned pins the digest and event tally of the
+// demand-paging json run, so a change to the shadow state or the
+// digest fold that alters a single folded byte or counted event fails.
+func TestRunCheckedPinned(t *testing.T) {
+	chk, _, vm, _ := runChecked(t)
+	if got, want := chk.VMDone(vm), uint64(0x94f1f0a1618b7dd2); got != want {
+		t.Errorf("digest = %#x, want %#x", got, want)
+	}
+	want := Counts{
+		IOsSubmitted: 8576, IOsCompleted: 8576, PageInserts: 8576,
+		FileMaps: 5659, Faults: 8576, CoWBreaks: 2917,
+		GuestAccesses: 9248, Prepares: 1,
+	}
+	if got := chk.Counts(); got != want {
+		t.Errorf("counts:\n got %+v\nwant %+v", got, want)
+	}
+}
