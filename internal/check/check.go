@@ -17,6 +17,17 @@
 //   - the fault injector's applied treatments, balanced against its
 //     Report counters at the end of the run.
 //
+// Every per-event lookup is an array index rather than a hash: an
+// address space's shadow is a chunked dense page table (64-page chunks
+// of pointer-free slots, allocated on first write and freed when the
+// space is released empty), page presence, derived refcounts and
+// content tags are slices in one entry per inode indexed by inode
+// number, and each simulated task keeps one guest-access stack. The
+// shadow therefore costs 8 bytes per 64 address-space pages plus
+// 1.5 KiB per touched 64-page run, and per file 5 bytes a page once
+// any page is cached and mapped, plus 8 a page when its contents are
+// known.
+//
 // On top of the shadow page tables sits the differential oracle: the
 // repo models page contents as uint64 tags, so after an invocation the
 // checker can fold the guest-visible content of every snapshot state
@@ -28,6 +39,7 @@ package check
 
 import (
 	"fmt"
+	"sort"
 
 	"snapbpf/internal/faults"
 	"snapbpf/internal/hostmm"
@@ -57,31 +69,115 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%v] %s: %s", v.At, v.Invariant, v.Detail)
 }
 
-// pageKey identifies one page-cache page.
-type pageKey struct {
-	ino *pagecache.Inode
-	idx int64
+// chunkPages is the size of one address-space shadow chunk. Chunks
+// are allocated on first write, so a space's shadow costs one pointer
+// per chunkPages pages plus one chunk per touched run; larger chunks
+// hold more untouched slots and raise peak RSS.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// Slot flag bits. The anonymous and file states of a page are tracked
+// independently: after a pte-state violation both are live at once,
+// and later events must see both, exactly as two separate tables would.
+const (
+	slotAnon  uint8 = 1 << iota // anonymous PTE: tag is its content
+	slotKnown                   // the anonymous content is modelled
+	slotFile                    // file PTE: ino/fileIdx name its backing page
+)
+
+// slot is the shadow of one PTE. It holds no pointers, so chunks cost
+// the collector nothing to scan. An anonymous tag is unknown when an
+// untagged UFFDIO_COPY installed content the harness cannot model.
+type slot struct {
+	tag     uint64 // content of the anonymous page
+	fileIdx int64  // backing file page of the file PTE
+	ino     uint32 // Inode.ID() of the file PTE's backing inode
+	flags   uint8
 }
 
-// anonPage is the shadow of one anonymous PTE: the content tag the
-// page carries, and whether the tag is known (untagged UFFDIO_COPY
-// installs content the harness cannot model).
-type anonPage struct {
-	tag   uint64
-	known bool
+// spaceShadow mirrors one address space's page table as a chunked
+// dense array indexed by page.
+type spaceShadow struct {
+	released     bool
+	nAnon, nFile int64 // live slots with slotAnon / slotFile set
+	chunks       []*[chunkPages]slot
 }
 
-// filePage is the shadow of one file-backed PTE.
+func newSpaceShadow(as *hostmm.AddressSpace) *spaceShadow {
+	return &spaceShadow{chunks: make([]*[chunkPages]slot, (as.NrPages()+chunkPages-1)/chunkPages)}
+}
+
+// get returns page's slot, empty when its chunk was never written.
+func (s *spaceShadow) get(page int64) slot {
+	if ci := page >> chunkShift; ci >= 0 && ci < int64(len(s.chunks)) {
+		if ch := s.chunks[ci]; ch != nil {
+			return ch[page&(chunkPages-1)]
+		}
+	}
+	return slot{}
+}
+
+// at returns page's slot for writing, allocating its chunk, and the
+// chunk list too when SpaceReleased freed it and events still arrive.
+func (s *spaceShadow) at(page int64) *slot {
+	ci := page >> chunkShift
+	if ci >= int64(len(s.chunks)) {
+		s.chunks = append(s.chunks, make([]*[chunkPages]slot, ci+1-int64(len(s.chunks)))...)
+	}
+	ch := s.chunks[ci]
+	if ch == nil {
+		ch = new([chunkPages]slot)
+		s.chunks[ci] = ch
+	}
+	return &ch[page&(chunkPages-1)]
+}
+
+// filePage is a file PTE as the pte-unmap-mismatch diagnostic prints it.
 type filePage struct {
 	ino     *pagecache.Inode
 	fileIdx int64
 }
 
-// spaceShadow mirrors one address space's page table.
-type spaceShadow struct {
-	released bool
-	anon     map[int64]anonPage
-	file     map[int64]filePage
+// inodeShadow is the checker's view of one page-cache file. The slices
+// are indexed by file page and allocated on first write.
+type inodeShadow struct {
+	ino *pagecache.Inode
+	// cached is the presence of every cached page.
+	cached []bool
+	// refs is the derived rmap: reference counts built from
+	// FilePageMapped/FilePageUnmapped events only.
+	refs []int32
+	// tags is the file's content-tag table, nil when the harness does
+	// not know the contents.
+	tags []uint64
+}
+
+func (is *inodeShadow) isCached(idx int64) bool {
+	return idx >= 0 && idx < int64(len(is.cached)) && is.cached[idx]
+}
+
+func (is *inodeShadow) ref(idx int64) int32 {
+	if idx >= 0 && idx < int64(len(is.refs)) {
+		return is.refs[idx]
+	}
+	return 0
+}
+
+// grow returns s extended to cover index idx, sized to the whole file
+// on first use.
+func grow[T any](s []T, idx, nrPages int64) []T {
+	if idx < int64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, max(idx+1, nrPages)-int64(len(s)))...)
+}
+
+// accessStack holds one simulated task's in-progress guest accesses,
+// innermost last.
+type accessStack struct {
+	open []accessCtx
 }
 
 // accessCtx is one in-progress guest access (AccessBegin..AccessEnd),
@@ -114,23 +210,29 @@ type Checker struct {
 	shortServices   int64
 	failedIOs       int64 // submissions whose final completion errored
 
-	// pagecache shadow: presence of every cached page.
-	cached map[pageKey]bool
+	// inodes shadows every page-cache file the events name, indexed by
+	// Inode.ID(): page presence, the derived rmap, and the content
+	// tags of the snapshot memory file and of every working-set
+	// artifact declared via ArtifactRegistered. nCached counts the
+	// cached pages across all of them.
+	inodes  []*inodeShadow
+	nCached int64
 
-	// fileTags holds the content-tag table of every file whose
-	// contents the harness knows: the snapshot memory file plus every
-	// working-set artifact declared via ArtifactRegistered.
-	fileTags map[*pagecache.Inode][]uint64
+	// spaces shadows every address space's page table; lastAS and
+	// lastSpace cache the most recent lookup. liveAnon counts the
+	// anonymous pages of the spaces not yet released.
+	spaces    map[*hostmm.AddressSpace]*spaceShadow
+	lastAS    *hostmm.AddressSpace
+	lastSpace *spaceShadow
+	liveAnon  int64
 
-	// fileRefs is the derived rmap: reference counts built from
-	// FilePageMapped/FilePageUnmapped events only.
-	fileRefs map[pageKey]int
-
-	// spaces shadows every address space's page table.
-	spaces map[*hostmm.AddressSpace]*spaceShadow
-
-	// access tracks in-progress guest accesses per simulated task.
-	access map[*sim.Proc][]accessCtx
+	// access tracks in-progress guest accesses per simulated task; a
+	// task's stack is kept once created, and stacks lists them in
+	// creation order. lastProc/lastStack cache the most recent lookup.
+	access    map[*sim.Proc]*accessStack
+	stacks    []*accessStack
+	lastProc  *sim.Proc
+	lastStack *accessStack
 
 	// vms lists every restored sandbox in creation order, including
 	// scheme-internal record VMs.
@@ -209,14 +311,11 @@ func (c *Checker) Counts() Counts {
 // simulated event of the run.
 func New(h *vmm.Host, inj *faults.Injector) *Checker {
 	c := &Checker{
-		h:        h,
-		inj:      inj,
-		qdepth:   h.Dev.Params().QueueDepth,
-		cached:   make(map[pageKey]bool),
-		fileTags: make(map[*pagecache.Inode][]uint64),
-		fileRefs: make(map[pageKey]int),
-		spaces:   make(map[*hostmm.AddressSpace]*spaceShadow),
-		access:   make(map[*sim.Proc][]accessCtx),
+		h:      h,
+		inj:    inj,
+		qdepth: h.Dev.Params().QueueDepth,
+		spaces: make(map[*hostmm.AddressSpace]*spaceShadow),
+		access: make(map[*sim.Proc]*accessStack),
 
 		storeCached: make(map[uint64]int64),
 		storeOpen:   make(map[uint64]int),
@@ -248,7 +347,7 @@ func (c *Checker) RegisterFileTags(ino *pagecache.Inode, tags []uint64) {
 		c.violatef("artifact-size", "%s: %d tags declared for %d file pages",
 			ino.Name(), len(tags), ino.NrPages())
 	}
-	c.fileTags[ino] = append([]uint64(nil), tags...)
+	c.inode(ino).tags = append([]uint64(nil), tags...)
 }
 
 // Violations returns the recorded breaches (capped at maxViolations).
@@ -267,15 +366,70 @@ func (c *Checker) violatef(invariant, format string, args ...any) {
 }
 
 func (c *Checker) shadow(as *hostmm.AddressSpace) *spaceShadow {
+	if as == c.lastAS {
+		return c.lastSpace
+	}
 	s, ok := c.spaces[as]
 	if !ok {
 		// Address space created before the checker attached — only
 		// possible if New was called mid-run, which is a harness bug.
 		c.violatef("space-untracked", "%s observed before SpaceCreated", as.Name())
-		s = &spaceShadow{anon: make(map[int64]anonPage), file: make(map[int64]filePage)}
+		s = newSpaceShadow(as)
 		c.spaces[as] = s
 	}
+	c.lastAS, c.lastSpace = as, s
 	return s
+}
+
+// setAnon records an anonymous PTE with the given content in sl, a
+// slot of s.
+func (c *Checker) setAnon(s *spaceShadow, sl *slot, tag uint64, known bool) {
+	if sl.flags&slotAnon == 0 {
+		s.nAnon++
+		if !s.released {
+			c.liveAnon++
+		}
+	}
+	sl.tag = tag
+	sl.flags = sl.flags&^slotKnown | slotAnon
+	if known {
+		sl.flags |= slotKnown
+	}
+}
+
+// inode returns the shadow of ino, creating it on first sight. A page
+// cache numbers its inodes densely from 1 and a checker observes one
+// cache, so a different inode behind a known number is a harness bug.
+func (c *Checker) inode(ino *pagecache.Inode) *inodeShadow {
+	id := ino.ID()
+	if id < uint64(len(c.inodes)) {
+		if is := c.inodes[id]; is != nil {
+			if is.ino != ino {
+				panic(fmt.Sprintf("check: inode %s reuses number %d of %s", ino.Name(), id, is.ino.Name()))
+			}
+			return is
+		}
+	} else {
+		c.inodes = append(c.inodes, make([]*inodeShadow, id+1-uint64(len(c.inodes)))...)
+	}
+	is := &inodeShadow{ino: ino}
+	c.inodes[id] = is
+	return is
+}
+
+// stack returns p's guest-access stack, creating it on first sight.
+func (c *Checker) stack(p *sim.Proc) *accessStack {
+	if c.lastStack != nil && p == c.lastProc {
+		return c.lastStack
+	}
+	st, ok := c.access[p]
+	if !ok {
+		st = &accessStack{}
+		c.access[p] = st
+		c.stacks = append(c.stacks, st)
+	}
+	c.lastProc, c.lastStack = p, st
+	return st
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +531,7 @@ func (c *Checker) IOCompleted(id int64, failed bool) {
 // pagecache.Observer: presence/count accounting and eviction safety.
 
 func (c *Checker) checkCachedCount(context string) {
-	if got, want := c.h.Cache.NrCachedPages(), int64(len(c.cached)); got != want {
+	if got, want := c.h.Cache.NrCachedPages(), c.nCached; got != want {
 		c.violatef("cache-count-accounting", "%s: cache reports %d pages, shadow %d",
 			context, got, want)
 	}
@@ -386,18 +540,21 @@ func (c *Checker) checkCachedCount(context string) {
 // PageInserted implements pagecache.Observer.
 func (c *Checker) PageInserted(ino *pagecache.Inode, idx int64, readahead bool) {
 	c.counts.PageInserts++
-	k := pageKey{ino, idx}
-	if c.cached[k] {
+	is := c.inode(ino)
+	if is.isCached(idx) {
 		c.violatef("cache-double-insert", "%s page %d inserted while present", ino.Name(), idx)
+	} else {
+		is.cached = grow(is.cached, idx, ino.NrPages())
+		is.cached[idx] = true
+		c.nCached++
 	}
-	c.cached[k] = true
 	c.checkCachedCount("insert")
 }
 
 // PageEvicted implements pagecache.Observer.
 func (c *Checker) PageEvicted(ino *pagecache.Inode, idx int64) {
 	c.pageGone(ino, idx, "evict")
-	if refs := c.fileRefs[pageKey{ino, idx}]; refs != 0 {
+	if refs := c.inode(ino).ref(idx); refs != 0 {
 		c.violatef("evict-mapped-page", "%s page %d reclaimed with %d derived rmap refs",
 			ino.Name(), idx, refs)
 	}
@@ -406,7 +563,7 @@ func (c *Checker) PageEvicted(ino *pagecache.Inode, idx int64) {
 // PageRemoved implements pagecache.Observer.
 func (c *Checker) PageRemoved(ino *pagecache.Inode, idx int64) {
 	c.pageGone(ino, idx, "remove")
-	if refs := c.fileRefs[pageKey{ino, idx}]; refs != 0 {
+	if refs := c.inode(ino).ref(idx); refs != 0 {
 		c.violatef("remove-mapped-page", "%s page %d dropped with %d derived rmap refs",
 			ino.Name(), idx, refs)
 	}
@@ -426,12 +583,13 @@ func (c *Checker) ReadaheadIssued(ino *pagecache.Inode, start, n, inserted int64
 }
 
 func (c *Checker) pageGone(ino *pagecache.Inode, idx int64, context string) {
-	k := pageKey{ino, idx}
-	if !c.cached[k] {
+	if is := c.inode(ino); !is.isCached(idx) {
 		c.violatef("cache-"+context+"-absent", "%s page %d %sed while absent",
 			ino.Name(), idx, context)
+	} else {
+		is.cached[idx] = false
+		c.nCached--
 	}
-	delete(c.cached, k)
 	c.checkCachedCount(context)
 }
 
@@ -441,10 +599,15 @@ func (c *Checker) pageGone(ino *pagecache.Inode, idx int64, context string) {
 
 // SpaceCreated implements hostmm.Observer.
 func (c *Checker) SpaceCreated(as *hostmm.AddressSpace) {
-	if _, ok := c.spaces[as]; ok {
+	if old, ok := c.spaces[as]; ok {
 		c.violatef("space-recreated", "%s created twice", as.Name())
+		if !old.released {
+			c.liveAnon -= old.nAnon
+		}
 	}
-	c.spaces[as] = &spaceShadow{anon: make(map[int64]anonPage), file: make(map[int64]filePage)}
+	s := newSpaceShadow(as)
+	c.spaces[as] = s
+	c.lastAS, c.lastSpace = as, s
 }
 
 // SpaceReleased implements hostmm.Observer.
@@ -452,11 +615,17 @@ func (c *Checker) SpaceReleased(as *hostmm.AddressSpace) {
 	s := c.shadow(as)
 	// Release fires per-page events (FilePageUnmapped/AnonDropped)
 	// before SpaceReleased, so the shadow must already be empty.
-	if n := len(s.anon) + len(s.file); n != 0 {
+	n := s.nAnon + s.nFile
+	if n != 0 {
 		c.violatef("space-release-leak", "%s released with %d shadow PTEs live", as.Name(), n)
+	} else {
+		s.chunks = nil
 	}
 	if got := as.AnonPages(); got != 0 {
 		c.violatef("anon-accounting", "%s released with AnonPages=%d", as.Name(), got)
+	}
+	if !s.released {
+		c.liveAnon -= s.nAnon
 	}
 	s.released = true
 }
@@ -465,63 +634,77 @@ func (c *Checker) SpaceReleased(as *hostmm.AddressSpace) {
 func (c *Checker) FilePageMapped(as *hostmm.AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
 	c.counts.FileMaps++
 	s := c.shadow(as)
-	if _, ok := s.file[page]; ok {
+	sl := s.at(page)
+	if sl.flags&slotFile != 0 {
 		c.violatef("pte-double-map", "%s page %d file-mapped twice", as.Name(), page)
+	} else {
+		s.nFile++
 	}
-	if _, ok := s.anon[page]; ok {
+	if sl.flags&slotAnon != 0 {
 		c.violatef("pte-state", "%s page %d file-mapped over an anonymous page", as.Name(), page)
 	}
-	k := pageKey{ino, fileIdx}
-	if !c.cached[k] {
+	is := c.inode(ino)
+	if !is.isCached(fileIdx) {
 		c.violatef("map-uncached-page", "%s page %d maps %s page %d which is not cached",
 			as.Name(), page, ino.Name(), fileIdx)
 	}
-	s.file[page] = filePage{ino, fileIdx}
-	c.fileRefs[k]++
+	sl.flags |= slotFile
+	sl.ino = uint32(ino.ID())
+	sl.fileIdx = fileIdx
+	is.refs = grow(is.refs, fileIdx, ino.NrPages())
+	is.refs[fileIdx]++
 }
 
 // FilePageUnmapped implements hostmm.Observer.
 func (c *Checker) FilePageUnmapped(as *hostmm.AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
 	c.counts.FileUnmaps++
 	s := c.shadow(as)
-	fp, ok := s.file[page]
-	if !ok || fp.ino != ino || fp.fileIdx != fileIdx {
+	sl := s.at(page)
+	is := c.inode(ino)
+	if sl.flags&slotFile == 0 || sl.ino != uint32(ino.ID()) || sl.fileIdx != fileIdx {
+		var fp filePage
+		if sl.flags&slotFile != 0 {
+			fp = filePage{c.inodes[sl.ino].ino, sl.fileIdx}
+		}
 		c.violatef("pte-unmap-mismatch", "%s page %d unmapped from %s page %d but shadow has %+v",
 			as.Name(), page, ino.Name(), fileIdx, fp)
 		return
 	}
-	delete(s.file, page)
-	k := pageKey{ino, fileIdx}
-	if c.fileRefs[k] <= 0 {
+	sl.flags &^= slotFile
+	s.nFile--
+	if is.ref(fileIdx) <= 0 {
 		c.violatef("rmap-underflow", "%s page %d unmapped below zero refs", ino.Name(), fileIdx)
 		return
 	}
-	c.fileRefs[k]--
-	if c.fileRefs[k] == 0 {
-		delete(c.fileRefs, k)
-	}
+	is.refs[fileIdx]--
 }
 
 // AnonInstalled implements hostmm.Observer.
 func (c *Checker) AnonInstalled(as *hostmm.AddressSpace, page int64, content uint64, known bool) {
 	s := c.shadow(as)
-	if _, ok := s.anon[page]; ok {
+	sl := s.at(page)
+	if sl.flags&slotAnon != 0 {
 		c.violatef("anon-double-install", "%s page %d installed while already anonymous", as.Name(), page)
 	}
-	if _, ok := s.file[page]; ok {
+	if sl.flags&slotFile != 0 {
 		c.violatef("pte-state", "%s page %d anonymous install over a live file mapping", as.Name(), page)
 	}
-	s.anon[page] = anonPage{tag: content, known: known}
+	c.setAnon(s, sl, content, known)
 }
 
 // AnonDropped implements hostmm.Observer.
 func (c *Checker) AnonDropped(as *hostmm.AddressSpace, page int64) {
 	s := c.shadow(as)
-	if _, ok := s.anon[page]; !ok {
+	sl := s.at(page)
+	if sl.flags&slotAnon == 0 {
 		c.violatef("anon-drop-absent", "%s page %d dropped while not anonymous", as.Name(), page)
 		return
 	}
-	delete(s.anon, page)
+	sl.flags &^= slotAnon | slotKnown
+	s.nAnon--
+	if !s.released {
+		c.liveAnon--
+	}
 }
 
 // FaultResolved implements hostmm.Observer.
@@ -531,8 +714,9 @@ func (c *Checker) FaultResolved(p *sim.Proc, as *hostmm.AddressSpace, page int64
 		c.counts.CoWBreaks++
 	}
 	s := c.shadow(as)
-	_, isAnon := s.anon[page]
-	_, isFile := s.file[page]
+	sl := s.at(page)
+	isAnon := sl.flags&slotAnon != 0
+	isFile := sl.flags&slotFile != 0
 	switch kind {
 	case hostmm.FaultMinor:
 		if !isAnon && !isFile {
@@ -553,24 +737,25 @@ func (c *Checker) FaultResolved(p *sim.Proc, as *hostmm.AddressSpace, page int64
 		if isFile {
 			c.violatef("pte-state", "%s page %d zero-fill over a live file mapping", as.Name(), page)
 		}
-		s.anon[page] = anonPage{tag: 0, known: true}
+		c.setAnon(s, sl, 0, true)
 	case hostmm.FaultCoW:
 		// The broken file PTE (if any) already fired FilePageUnmapped.
 		// The copied content is the backing file page's.
 		if isFile {
 			c.violatef("cow-file-pte-live", "%s page %d CoW left the file PTE mapped", as.Name(), page)
 		}
-		s.anon[page] = c.cowContent(as, page)
+		tag, known := c.cowContent(as, page)
+		c.setAnon(s, sl, tag, known)
 		c.checkCoWAttribution(p, as, page)
 	case hostmm.FaultUffd:
 		// The handler must have installed the page (hostmm panics
 		// otherwise); the install fired AnonInstalled.
-		if _, ok := s.anon[page]; !ok {
+		if !isAnon {
 			c.violatef("uffd-left-unmapped", "%s page %d uffd fault left no anonymous PTE",
 				as.Name(), page)
 		}
 	}
-	if got, want := as.AnonPages(), int64(len(s.anon)); got != want {
+	if got, want := as.AnonPages(), s.nAnon; got != want {
 		c.violatef("anon-accounting", "%s: AnonPages=%d but shadow has %d anonymous pages",
 			as.Name(), got, want)
 	}
@@ -578,19 +763,19 @@ func (c *Checker) FaultResolved(p *sim.Proc, as *hostmm.AddressSpace, page int64
 
 // cowContent resolves the content a CoW break copies: the backing file
 // page of the VMA covering the faulted page.
-func (c *Checker) cowContent(as *hostmm.AddressSpace, page int64) anonPage {
+func (c *Checker) cowContent(as *hostmm.AddressSpace, page int64) (tag uint64, known bool) {
 	v := as.FindVMA(page)
 	if v == nil || v.Inode == nil {
 		c.violatef("cow-without-file-vma", "%s page %d broke CoW outside a file mapping",
 			as.Name(), page)
-		return anonPage{}
+		return 0, false
 	}
 	fi := v.FilePage(page)
-	tags := c.fileTags[v.Inode]
+	tags := c.inode(v.Inode).tags
 	if fi < 0 || fi >= int64(len(tags)) {
-		return anonPage{} // unknown file contents
+		return 0, false // unknown file contents
 	}
-	return anonPage{tag: tags[fi], known: true}
+	return tags[fi], true
 }
 
 // checkCoWAttribution enforces that CoW breaks are only ever triggered
@@ -598,7 +783,7 @@ func (c *Checker) cowContent(as *hostmm.AddressSpace, page int64) anonPage {
 // running the unpatched KVM (ForceWriteMapping), which is exactly the
 // §4 pathology the paper's patch removes.
 func (c *Checker) checkCoWAttribution(p *sim.Proc, as *hostmm.AddressSpace, page int64) {
-	st := c.access[p]
+	st := c.stack(p).open
 	if len(st) == 0 {
 		c.violatef("cow-outside-guest-access", "%s page %d broke CoW outside any guest access",
 			as.Name(), page)
@@ -618,22 +803,21 @@ func (c *Checker) checkCoWAttribution(p *sim.Proc, as *hostmm.AddressSpace, page
 // AccessBegin implements kvm.Observer.
 func (c *Checker) AccessBegin(p *sim.Proc, v *kvm.VM, pfn int64, write bool) {
 	c.counts.GuestAccesses++
-	c.access[p] = append(c.access[p], accessCtx{vm: v, pfn: pfn, write: write})
+	st := c.stack(p)
+	st.open = append(st.open, accessCtx{vm: v, pfn: pfn, write: write})
 }
 
 // AccessEnd implements kvm.Observer.
 func (c *Checker) AccessEnd(p *sim.Proc, v *kvm.VM, pfn int64, write, mirror bool) {
-	st := c.access[p]
-	if len(st) == 0 {
+	st := c.stack(p)
+	n := len(st.open)
+	if n == 0 {
 		c.violatef("access-unbalanced", "AccessEnd pfn %d without AccessBegin", pfn)
 		return
 	}
-	ctx := st[len(st)-1]
-	if len(st) == 1 {
-		delete(c.access, p)
-	} else {
-		c.access[p] = st[:len(st)-1]
-	}
+	ctx := st.open[n-1]
+	st.open[n-1] = accessCtx{} // drop the VM reference
+	st.open = st.open[:n-1]
 	if ctx.vm != v || ctx.pfn != pfn || ctx.write != write {
 		c.violatef("access-mismatch", "AccessEnd (pfn %d write %v) does not match AccessBegin (pfn %d write %v)",
 			pfn, write, ctx.pfn, ctx.write)
@@ -644,21 +828,21 @@ func (c *Checker) AccessEnd(p *sim.Proc, v *kvm.VM, pfn int64, write, mirror boo
 		// PV-mirror consistency: the mirrored gPFN and its original
 		// must resolve to the same host page, which the mirror fault
 		// backed with anonymous memory.
-		if _, ok := s.anon[host]; !ok {
+		if s.get(host).flags&slotAnon == 0 {
 			c.violatef("pv-mirror-anon", "mirror access to pfn %d left host page %d non-anonymous",
 				pfn, host)
 		}
 	}
 	if write {
-		ap, ok := s.anon[host]
-		if !ok {
+		sl := s.at(host)
+		if sl.flags&slotAnon == 0 {
 			// A guest write must always land on private memory; a write
 			// into a shared page-cache page corrupts every other sandbox.
 			c.violatef("write-on-shared-page", "guest write to pfn %d landed on non-anonymous host page %d",
 				pfn, host)
 			return
 		}
-		s.anon[host] = anonPage{tag: evolveTag(ap.tag, pfn), known: ap.known}
+		sl.tag = evolveTag(sl.tag, pfn)
 	}
 }
 
@@ -733,50 +917,52 @@ func (c *Checker) OffsetsLoaded(p *sim.Proc, scheme string, vm *vmm.MicroVM, gro
 // writing.
 func (c *Checker) VMDone(vm *vmm.MicroVM) uint64 {
 	s := c.shadow(vm.AS)
-	if got, want := vm.AS.AnonPages(), int64(len(s.anon)); got != want {
+	if got, want := vm.AS.AnonPages(), s.nAnon; got != want {
 		c.violatef("anon-accounting", "%s: AnonPages=%d but shadow has %d anonymous pages",
 			vm.Name, got, want)
 	}
-	var total int64
-	for _, sh := range c.spaces {
-		if !sh.released {
-			total += int64(len(sh.anon))
-		}
-	}
-	if got := c.h.MM.TotalAnonPages(); got != total {
+	if got := c.h.MM.TotalAnonPages(); got != c.liveAnon {
 		c.violatef("anon-total-accounting", "MM reports %d anonymous pages, shadows hold %d",
-			got, total)
+			got, c.liveAnon)
 	}
 
-	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
 	digest := uint64(fnvOffset)
-	fold := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			digest ^= (x >> (8 * i)) & 0xff
-			digest *= fnvPrime
-		}
-	}
 	for pfn := int64(0); pfn < vm.Image.StatePages; pfn++ {
 		tag, known := c.resolveContent(vm, s, pfn)
 		if !known {
 			c.violatef("digest-unknown-content", "%s: state pfn %d has untracked content", vm.Name, pfn)
 		}
-		fold(uint64(pfn))
-		fold(tag)
+		digest = fnvFold(digest, uint64(pfn))
+		digest = fnvFold(digest, tag)
 	}
 	return digest
 }
 
+const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
+
+// fnvFold folds the eight little-endian bytes of x into the FNV-1a
+// hash h.
+func fnvFold(h, x uint64) uint64 {
+	h = (h ^ x&0xff) * fnvPrime
+	h = (h ^ x>>8&0xff) * fnvPrime
+	h = (h ^ x>>16&0xff) * fnvPrime
+	h = (h ^ x>>24&0xff) * fnvPrime
+	h = (h ^ x>>32&0xff) * fnvPrime
+	h = (h ^ x>>40&0xff) * fnvPrime
+	h = (h ^ x>>48&0xff) * fnvPrime
+	return (h ^ x>>56) * fnvPrime
+}
+
 // resolveContent returns the content tag guest frame pfn reads as.
 func (c *Checker) resolveContent(vm *vmm.MicroVM, s *spaceShadow, pfn int64) (uint64, bool) {
-	host := vm.KVM.HostBase + pfn
-	if ap, ok := s.anon[host]; ok {
-		return ap.tag, ap.known
+	sl := s.get(vm.KVM.HostBase + pfn)
+	if sl.flags&slotAnon != 0 {
+		return sl.tag, sl.flags&slotKnown != 0
 	}
-	if fp, ok := s.file[host]; ok {
-		tags := c.fileTags[fp.ino]
-		if fp.fileIdx >= 0 && fp.fileIdx < int64(len(tags)) {
-			return tags[fp.fileIdx], true
+	if sl.flags&slotFile != 0 {
+		tags := c.inodes[sl.ino].tags
+		if sl.fileIdx >= 0 && sl.fileIdx < int64(len(tags)) {
+			return tags[sl.fileIdx], true
 		}
 		return 0, false
 	}
@@ -798,10 +984,9 @@ func (c *Checker) Finish() error {
 		c.violatef("storage-quiesce", "run ended with %d requests in flight, %d parts outstanding",
 			c.inFlight, c.outstanding)
 	}
-	for p, st := range c.access {
-		_ = p
-		if len(st) != 0 {
-			c.violatef("access-unbalanced", "run ended with %d guest accesses still open", len(st))
+	for _, st := range c.stacks {
+		if len(st.open) != 0 {
+			c.violatef("access-unbalanced", "run ended with %d guest accesses still open", len(st.open))
 		}
 	}
 
@@ -825,29 +1010,56 @@ func (c *Checker) Finish() error {
 	conserve("store-spikes", rep.StoreSpikes, c.storeSpikes)
 	c.finishStore()
 
-	// Rmap dedup cross-check: the cache's per-page map counts must
-	// match the reference counts derived purely from address-space
-	// events. A dedup accounting bug on either side breaks equality.
-	c.h.Cache.ForEachInode(func(ino *pagecache.Inode) {
-		ino.ForEachPage(func(idx int64, uptodate bool, mapCount int) {
-			if derived := c.fileRefs[pageKey{ino, idx}]; mapCount != derived {
-				c.violatef("rmap-dedup-accounting", "%s page %d: MapCount=%d, derived rmap refs=%d",
-					ino.Name(), idx, mapCount, derived)
-			}
-		})
-	})
-	for k, n := range c.fileRefs {
-		if n != 0 && !c.cached[k] {
-			c.violatef("rmap-uncached-ref", "%s page %d holds %d rmap refs but is not cached",
-				k.ino.Name(), k.idx, n)
-		}
-	}
+	c.finishRmap()
 	c.checkCachedCount("finish")
 
 	if len(c.violations) == 0 {
 		return nil
 	}
 	return &Error{Violations: c.violations, Dropped: c.dropped}
+}
+
+// finishRmap is the rmap dedup cross-check: the cache's per-page map
+// counts must match the reference counts derived purely from
+// address-space events, and every derived reference must name a cached
+// page. A dedup accounting bug on either side breaks equality. Pages
+// are visited in inode-number then page-index order, so the capped
+// violation list is the same on every run.
+func (c *Checker) finishRmap() {
+	var inos []*pagecache.Inode
+	c.h.Cache.ForEachInode(func(ino *pagecache.Inode) { inos = append(inos, ino) })
+	sort.Slice(inos, func(i, j int) bool { return inos[i].ID() < inos[j].ID() })
+	type mismatch struct {
+		idx      int64
+		mapCount int
+		derived  int32
+	}
+	var bad []mismatch
+	for _, ino := range inos {
+		is := c.inode(ino)
+		bad = bad[:0]
+		ino.ForEachPage(func(idx int64, uptodate bool, mapCount int) {
+			if derived := is.ref(idx); mapCount != int(derived) {
+				bad = append(bad, mismatch{idx, mapCount, derived})
+			}
+		})
+		sort.Slice(bad, func(i, j int) bool { return bad[i].idx < bad[j].idx })
+		for _, m := range bad {
+			c.violatef("rmap-dedup-accounting", "%s page %d: MapCount=%d, derived rmap refs=%d",
+				ino.Name(), m.idx, m.mapCount, m.derived)
+		}
+	}
+	for _, is := range c.inodes {
+		if is == nil {
+			continue
+		}
+		for idx, n := range is.refs {
+			if n != 0 && !is.isCached(int64(idx)) {
+				c.violatef("rmap-uncached-ref", "%s page %d holds %d rmap refs but is not cached",
+					is.ino.Name(), idx, n)
+			}
+		}
+	}
 }
 
 // Error aggregates a run's violations.

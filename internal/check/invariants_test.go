@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"snapbpf/internal/blockdev"
 	"snapbpf/internal/hostmm"
@@ -16,10 +15,9 @@ import (
 )
 
 // fixture is a checked host driven by synthetic observer events: one
-// 256-page address space with file pages [0,128) of a 128-page file
-// mapped (VMA only, no PTEs) at page 0, and file pages 0-7 really
-// cached, so the page-cache count cross-check holds until a case
-// breaks it on purpose.
+// address space with a file mapped at page 0 and part of that file
+// really cached, so the page-cache count cross-check holds until a
+// case breaks it on purpose.
 type fixture struct {
 	c   *Checker
 	h   *vmm.Host
@@ -42,37 +40,57 @@ func (f *fixture) microVM() *vmm.MicroVM {
 	return &vmm.MicroVM{Name: "vm", Image: img, AS: f.as, KVM: f.vm}
 }
 
-// runFixture builds a fixture, runs events inside a simulated process
-// and, when finish is set, calls Finish once the engine drains. It
-// returns every recorded violation as "invariant: detail".
-func runFixture(t *testing.T, events func(f *fixture), finish bool) (*fixture, []string) {
-	t.Helper()
+// newFixture builds a checked host with an nrPages-page address space
+// whose first filePages pages map (VMA only, no PTEs) a filePages-page
+// file with content fileTag(i), of which the first cached pages are
+// really in the page cache.
+func newFixture(nrPages, filePages, cached int64) *fixture {
 	h := vmm.NewHost(blockdev.MicronSATA5300())
 	f := &fixture{c: New(h, nil), h: h}
-	f.as = h.MM.NewAddressSpace("as", 256)
-	f.ino = h.Cache.NewInode("f", 128)
-	f.vm = &kvm.VM{AS: f.as, NrPages: 256}
-	tags := make([]uint64, 128)
+	f.as = h.MM.NewAddressSpace("as", nrPages)
+	f.ino = h.Cache.NewInode("f", filePages)
+	f.vm = &kvm.VM{AS: f.as, NrPages: nrPages}
+	tags := make([]uint64, filePages)
 	for i := range tags {
 		tags[i] = fileTag(int64(i))
 	}
 	f.c.RegisterFileTags(f.ino, tags)
-	h.Eng.Go("case", func(p *sim.Proc) {
+	f.run(func(f *fixture) {
+		f.ino.ReadaheadAsync(0, cached)
+		f.as.MMapFile(f.p, 0, filePages, f.ino, 0)
+	})
+	return f
+}
+
+// run runs events inside a new simulated process, f.p, until the
+// engine drains.
+func (f *fixture) run(events func(f *fixture)) {
+	f.h.Eng.Go("case", func(p *sim.Proc) {
 		f.p = p
-		f.ino.ReadaheadAsync(0, 8)
-		f.as.MMapFile(p, 0, 128, f.ino, 0)
-		p.Sleep(time.Second) // let the readahead land
 		events(f)
 	})
-	h.Eng.Run()
-	if finish {
-		_ = f.c.Finish() // the violations are read back below
-	}
+	f.h.Eng.Run()
+}
+
+// violations returns every recorded violation as "invariant: detail".
+func (f *fixture) violations() []string {
 	var got []string
 	for _, v := range f.c.Violations() {
 		got = append(got, v.Invariant+": "+v.Detail)
 	}
-	return f, got
+	return got
+}
+
+// runFixture runs events on the 256-page fixture with file pages 0-7
+// cached and, when finish is set, calls Finish once the engine drains.
+func runFixture(t *testing.T, events func(f *fixture), finish bool) (*fixture, []string) {
+	t.Helper()
+	f := newFixture(256, 128, 8)
+	f.run(events)
+	if finish {
+		_ = f.c.Finish() // the violations are read back below
+	}
+	return f, f.violations()
 }
 
 // TestInvariantTable pins, one case per invariant the shadow page

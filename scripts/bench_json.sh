@@ -24,7 +24,7 @@ case "$engine" in
     exit 2
     ;;
 esac
-pkgs=(./internal/ebpf ./internal/guest ./internal/obs ./internal/pagecache ./internal/sim)
+pkgs=(./internal/check ./internal/ebpf ./internal/guest ./internal/obs ./internal/pagecache ./internal/sim)
 
 git_state="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 if [ "$git_state" != unknown ] && ! git diff --quiet 2>/dev/null; then

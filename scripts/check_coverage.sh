@@ -22,7 +22,7 @@ declare -A floors=(
   [snapbpf/internal/prefetch/faasnap]=87.0
   [snapbpf/internal/prefetch/faast]=76.0
   [snapbpf/internal/prefetch/reap]=76.0
-  [snapbpf/internal/check]=65.0
+  [snapbpf/internal/check]=84.4
   [snapbpf/internal/cluster]=83.0
   [snapbpf/internal/workload]=90.0
   [snapbpf/internal/calib]=85.0
