@@ -63,7 +63,7 @@ bench:
 
 # Machine-readable microbenchmark snapshot (ns/op, allocs/op per hot
 # path, plus experiment wall-clock from results/timing.json if fresh),
-# stamped with git state + eBPF engine. See scripts/bench_json.sh.
+# stamped with git state. See scripts/bench_json.sh.
 bench-json:
 	./scripts/bench_json.sh results/bench.json
 

@@ -2,8 +2,8 @@
 // fuzz target lives in an external test package so it can drive the
 // full ebpf VM (which imports absint) against the analysis results:
 // any divergence between what the analysis claims (dead edges, cost
-// bounds, accepted programs) and what the interpreter or pruned JIT
-// actually does is a crash, not a flaky finding.
+// bounds, accepted programs) and what the interpreter actually does is
+// a crash, not a flaky finding.
 package absint_test
 
 import (
@@ -14,32 +14,15 @@ import (
 	"snapbpf/internal/ebpf/absint"
 )
 
-// fuzzEnv is one isolated execution universe: a fresh VM and map so
-// the two engine runs cannot observe each other's side effects.
-type fuzzEnv struct {
-	vm *ebpf.VM
-	m  *ebpf.Map
-	fd int32
-}
-
-func newFuzzEnv() *fuzzEnv {
-	vm := ebpf.NewVM()
-	m := ebpf.MustNewMap(ebpf.MapTypeHash, "fuzz", 64)
-	fd := vm.RegisterMap(m)
-	return &fuzzEnv{vm: vm, m: m, fd: fd}
-}
-
 // FuzzAbsint decodes arbitrary bytes into an instruction stream and
-// cross-checks three soundness claims of the abstract interpreter:
+// cross-checks the soundness claims of the abstract interpreter:
 //
 //  1. Analyze never panics, on any input.
-//  2. If the analysis marks a branch edge dead, a concrete execution
+//  2. An analysis-accepted program loads (Verify accepts it too).
+//  3. If the analysis marks a branch edge dead, a concrete execution
 //     (observed via InterpBranches) never takes that edge, and if it
-//     computes a finite worst-case cost within the budget, no run
-//     aborts on the instruction budget.
-//  3. An analysis-accepted program runs identically on the
-//     interpreter and on the absint-pruned JIT: same R0, same error
-//     text, same final map contents. Pruning must be invisible.
+//     computes a finite worst-case cost within the budget, the run
+//     does not abort on the instruction budget.
 func FuzzAbsint(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		if data, err := ebpf.MarshalInstructions(seed); err == nil {
@@ -59,8 +42,9 @@ func FuzzAbsint(f *testing.F) {
 			}
 		}()
 
-		ie := newFuzzEnv()
-		r := ie.vm.Analyze(insns)
+		vm := ebpf.NewVM()
+		vm.RegisterMap(ebpf.MustNewMap(ebpf.MapTypeHash, "fuzz", 64))
+		r := vm.Analyze(insns)
 		if r == nil || !r.OK {
 			return
 		}
@@ -68,7 +52,7 @@ func FuzzAbsint(f *testing.F) {
 		// Interpreter run, observing every conditional edge taken.
 		// Analysis acceptance implies Verify acceptance (the verifier
 		// falls back to the same analysis), so Load must succeed.
-		ip, err := ie.vm.Load("absint-fuzz", insns)
+		p, err := vm.Load("absint-fuzz", insns)
 		if err != nil {
 			t.Fatalf("analysis accepted but Load failed: %v\n%s",
 				err, ebpf.Disassemble(insns))
@@ -84,52 +68,18 @@ func FuzzAbsint(f *testing.F) {
 					edgeName(pc, taken))
 			}
 		}
-		iRet, iErr := ip.InterpBranches(nil, hook, 1, 2)
+		_, runErr := p.InterpBranches(nil, hook, 1, 2)
 		if len(deadTaken) > 0 {
 			t.Fatalf("execution took statically dead edges %v\n%s",
 				deadTaken, ebpf.Disassemble(insns))
 		}
 
-		// Pruned JIT run in a second, identical universe.
-		je := newFuzzEnv()
-		ebpf.SetAbsintPrune(true)
-		jp, err := je.vm.Load("absint-fuzz", insns)
-		ebpf.SetAbsintPrune(false)
-		if err != nil {
-			t.Fatalf("pruned Load failed: %v\n%s", err, ebpf.Disassemble(insns))
-		}
-		jRet, jErr := jp.Run(nil, 1, 2)
-
-		if (iErr == nil) != (jErr == nil) ||
-			(iErr != nil && iErr.Error() != jErr.Error()) {
-			t.Fatalf("engine error divergence under pruning: interp=%v jit=%v\n%s",
-				iErr, jErr, ebpf.Disassemble(insns))
-		}
-		if iErr == nil && iRet != jRet {
-			t.Fatalf("engine result divergence under pruning: interp=%#x jit=%#x\n%s",
-				iRet, jRet, ebpf.Disassemble(insns))
-		}
-		ik, jk := ie.m.Entries(), je.m.Entries()
-		if len(ik) != len(jk) {
-			t.Fatalf("map divergence under pruning: interp %d entries, jit %d\n%s",
-				len(ik), len(jk), ebpf.Disassemble(insns))
-		}
-		for i := range ik {
-			if ik[i] != jk[i] {
-				t.Fatalf("map entry divergence under pruning: %v vs %v\n%s",
-					ik[i], jk[i], ebpf.Disassemble(insns))
-			}
-		}
-
-		// A finite worst case within the budget means no run may die
-		// on the dynamic budget check.
-		if r.WorstCase >= 0 && r.WorstCase <= absint.InsnBudget {
-			for _, e := range []error{iErr, jErr} {
-				if e != nil && strings.Contains(e.Error(), "instruction budget") {
-					t.Fatalf("worst case %d within budget but run aborted: %v\n%s",
-						r.WorstCase, e, ebpf.Disassemble(insns))
-				}
-			}
+		// A finite worst case within the budget means the run may not
+		// die on the dynamic budget check.
+		if r.WorstCase >= 0 && r.WorstCase <= absint.InsnBudget &&
+			runErr != nil && strings.Contains(runErr.Error(), "instruction budget") {
+			t.Fatalf("worst case %d within budget but run aborted: %v\n%s",
+				r.WorstCase, runErr, ebpf.Disassemble(insns))
 		}
 	})
 }

@@ -98,7 +98,7 @@ func evictionScanProgram() []Instruction {
 // TestAbsintEvictionScan is the acceptance test for the two-tier
 // verifier: the eviction-scan loop is structurally rejected, accepted
 // by the abstract interpreter with an exact worst-case cost, and runs
-// identically on both engines (pruned and unpruned).
+// to the right answer.
 func TestAbsintEvictionScan(t *testing.T) {
 	vm := NewVM()
 	insns := evictionScanProgram()
@@ -118,52 +118,38 @@ func TestAbsintEvictionScan(t *testing.T) {
 		t.Fatalf("two-tier Verify rejected: %v", err)
 	}
 
-	if got, err := runBoth(t, insns); err != nil {
+	if got, err := vm.MustLoad("scan", insns).Run(nil); err != nil {
 		t.Fatalf("run: %v", err)
 	} else if got != 64 {
 		t.Fatalf("got %d, want 64", got)
 	}
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
-	if got, err := runBoth(t, insns); err != nil {
-		t.Fatalf("pruned run: %v", err)
-	} else if got != 64 {
-		t.Fatalf("pruned run got %d, want 64", got)
-	}
 }
 
 // TestAbsintPrunedLoopSkipsBudget checks that a proven-bounded loop
-// takes the JIT's no-budget fast path: the block program is compiled,
-// marked bounded, and still returns the right answer.
+// carries a finite worst case far inside the instruction budget, and
+// that its run completes and counts.
 func TestAbsintPrunedLoopSkipsBudget(t *testing.T) {
 	vm := NewVM()
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
-	p, err := vm.Load("scan", evictionScanProgram())
+	insns := evictionScanProgram()
+	if r := vm.Analyze(insns); !r.OK || r.WorstCase < 0 || r.WorstCase >= InsnBudget {
+		t.Fatalf("proven-bounded loop: ok=%v worst case %d", r.OK, r.WorstCase)
+	}
+	p, err := vm.Load("scan", insns)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.jit == nil {
-		t.Fatal("bounded loop did not compile under pruning")
-	}
-	if p.jit.acyclic {
-		t.Fatal("loop program cannot be acyclic")
-	}
-	if !p.jit.bounded {
-		t.Fatal("proven-bounded loop not marked bounded")
 	}
 	got, err := p.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 64 {
-		t.Fatalf("got %d, want 64", got)
+	if got != 64 || p.Runs() != 1 {
+		t.Fatalf("got %d after %d runs, want 64 after 1", got, p.Runs())
 	}
 }
 
 // deadRegionProgram jumps over a statically dead region containing an
-// instruction the JIT cannot translate (and the structural verifier
-// rejects): r1 is forced to 3, so the jeq is always taken.
+// instruction the structural verifier rejects: r1 is forced to 3, so
+// the jeq is always taken.
 func deadRegionProgram() []Instruction {
 	return []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 3},
@@ -176,9 +162,9 @@ func deadRegionProgram() []Instruction {
 	}
 }
 
-// TestAbsintPruneDeadRegion: with pruning, a program whose only
-// invalid instructions are statically dead compiles to blocks (the
-// dead region becomes a stub) and runs identically on both engines.
+// TestAbsintPruneDeadRegion: a program whose only invalid
+// instructions are statically dead is accepted by the two-tier
+// verifier and runs without ever reaching them.
 func TestAbsintPruneDeadRegion(t *testing.T) {
 	vm := NewVM()
 	insns := deadRegionProgram()
@@ -197,14 +183,9 @@ func TestAbsintPruneDeadRegion(t *testing.T) {
 		t.Fatal("dead region marked reachable")
 	}
 
-	SetAbsintPrune(true)
-	defer SetAbsintPrune(false)
 	p, err := vm.Load("dead", insns)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.jit == nil {
-		t.Fatal("program with pruned dead region did not compile")
 	}
 	got, err := p.Run(nil)
 	if err != nil {
@@ -213,13 +194,10 @@ func TestAbsintPruneDeadRegion(t *testing.T) {
 	if got != 9 {
 		t.Fatalf("got %d, want 9", got)
 	}
-	if got, err := runBoth(t, insns); err != nil || got != 9 {
-		t.Fatalf("engine divergence: got %d, err %v", got, err)
-	}
 }
 
-// TestAbsintPruneFlattensBranch: a one-sided conditional becomes an
-// unconditional edge under pruning; semantics must not change.
+// TestAbsintPruneFlattensBranch: the analysis marks the never-taken
+// edge of a one-sided conditional dead, and the run takes the other.
 func TestAbsintPruneFlattensBranch(t *testing.T) {
 	// r1 = 8; jgt r1, 100 is never taken; fall path returns 5.
 	insns := []Instruction{
@@ -238,13 +216,8 @@ func TestAbsintPruneFlattensBranch(t *testing.T) {
 	if b := r.Branches[1]; !b.TakenDead || b.FallDead {
 		t.Fatalf("expected taken-dead fact at pc 1, got %+v", b)
 	}
-	for _, prune := range []bool{false, true} {
-		SetAbsintPrune(prune)
-		got, err := runBoth(t, insns)
-		SetAbsintPrune(false)
-		if err != nil || got != 5 {
-			t.Fatalf("prune=%v: got %d, err %v", prune, got, err)
-		}
+	if got, err := vm.MustLoad("flat", insns).Run(nil); err != nil || got != 5 {
+		t.Fatalf("got %d, err %v", got, err)
 	}
 }
 
@@ -294,8 +267,7 @@ func TestInterpBranches(t *testing.T) {
 func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	vm := NewVM()
 	// An unbounded loop is accepted (the seed contract: dynamic
-	// budget termination), but the analysis must report no bound, so
-	// the JIT never elides the budget check for it.
+	// budget termination), but the analysis must report no bound.
 	unbounded := []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R0, Imm: 0},
 		{Op: ClassALU64 | OpAdd | SrcK, Dst: R0, Imm: 1},
@@ -308,14 +280,9 @@ func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	if r := vm.Analyze(unbounded); r.OK && r.WorstCase != -1 {
 		t.Fatalf("unbounded loop got finite worst case %d", r.WorstCase)
 	}
-	SetAbsintPrune(true)
 	p, err := vm.Load("unbounded", unbounded)
-	SetAbsintPrune(false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.jit != nil && (p.jit.bounded || p.jit.acyclic) {
-		t.Fatal("unbounded loop must keep the dynamic budget check")
 	}
 	if _, err := p.Run(nil); err == nil || !strings.Contains(err.Error(), "instruction budget") {
 		t.Fatalf("unbounded loop must die on the budget, got %v", err)

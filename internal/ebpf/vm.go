@@ -99,7 +99,6 @@ type Program struct {
 	Name  string
 	insns []Instruction
 	dec   []decoded // pre-decoded text; see decode.go
-	jit   *jitProg  // compiled closure chain; nil on the interpreter engine
 	vm    *VM
 
 	// mapCache memoizes map-FD resolution: a dense fd-indexed snapshot
@@ -133,14 +132,12 @@ func (p *Program) Runs() int64 { return int64(p.state.Load() >> 1) }
 
 // runState is the per-execution state: the call context, the register
 // file and the 512-byte stack frame, kept together so one allocation
-// (reused across runs) covers everything. Registers live here rather
-// than on the goroutine stack so the JIT's closures, the interpreter
-// and the budget handoff between them all see one machine state; err
-// carries a failing closure's error out of the block walk.
+// (reused across runs) covers everything. The interpreter copies regs
+// in at the start of a run and back out at exit, so the final register
+// file stays inspectable (tests pin it).
 type runState struct {
 	ctx  CallContext
 	regs [numRegisters]uint64
-	err  error
 	// branchHook, when set, observes every conditional jump the
 	// interpreter evaluates (pc, edge). Only InterpBranches sets it,
 	// on a private state — normal runs never pay more than a nil
@@ -167,18 +164,6 @@ func (vm *VM) Load(name string, insns []Instruction) (*Program, error) {
 		if fd >= 0 && int(fd) < len(p.mapCache) {
 			p.mapCache[fd] = m
 		}
-	}
-	if DefaultEngine() == EngineJIT {
-		// With pruning enabled, the abstract interpreter's facts let
-		// the JIT elide dead blocks, flatten one-sided conditionals,
-		// and skip budget accounting for proven-bounded loops.
-		var facts *jitFacts
-		if AbsintPrune() {
-			facts = jitFactsFrom(analyzeProgram(cp, vm))
-		}
-		// compileJIT returns nil for anything it cannot translate
-		// one-to-one; such programs stay on the interpreter.
-		p.jit = compileJIT(p, facts)
 	}
 	return p, nil
 }
@@ -258,52 +243,15 @@ func stackIndex(addr uint64, size int) (int, error) {
 // Run executes the program with up to five u64 arguments in R1–R5 and
 // returns R0. Env is made available to helpers via the CallContext.
 //
-// On the default JIT engine a run walks the closure chain compiled at
-// Load (jit.go); otherwise the dispatch loop walks the pre-decoded
-// instruction cache (decode.go): no opcode bit-masking, immediate
-// sign-extension, lddw reassembly or helper-table lookup happens per
-// step on either engine. Run state (call context + registers + stack)
-// is a single buffer reused across sequential runs; concurrent runs of
-// one program fall back to a fresh buffer.
+// The dispatch loop walks the pre-decoded instruction cache
+// (decode.go): no opcode bit-masking, immediate sign-extension, lddw
+// reassembly or helper-table lookup happens per step. Run state (call
+// context + registers + stack) is a single buffer reused across
+// sequential runs; concurrent runs of one program fall back to a fresh
+// buffer.
 func (p *Program) Run(env any, args ...uint64) (uint64, error) {
-	return p.launch(env, args, false)
-}
-
-// Interp executes the program on the reference interpreter regardless
-// of the engine it was loaded under — the escape hatch the equivalence
-// tests and the differential fuzzer compare the JIT against.
-func (p *Program) Interp(env any, args ...uint64) (uint64, error) {
-	return p.launch(env, args, true)
-}
-
-// InterpBranches runs the program on the reference interpreter with
-// hook observing every conditional jump it evaluates (the instruction
-// pc and whether the jump was taken). The absint differential fuzzer
-// uses this to check that edges the analysis declared infeasible are
-// never executed. Always runs on a private machine state.
-func (p *Program) InterpBranches(env any, hook func(pc int, taken bool), args ...uint64) (uint64, error) {
 	if len(args) > 5 {
 		return 0, fmt.Errorf("ebpf: too many arguments (%d > 5)", len(args))
-	}
-	st := p.newRunState()
-	for i, a := range args {
-		st.regs[R1+Register(i)] = a
-	}
-	st.regs[R10] = stackTop
-	st.ctx.Env = env
-	st.branchHook = hook
-	return p.runInterp(st, 0, 0)
-}
-
-// launch prepares the machine state shared by both engines and
-// dispatches the run.
-func (p *Program) launch(env any, args []uint64, forceInterp bool) (uint64, error) {
-	if len(args) > 5 {
-		return 0, fmt.Errorf("ebpf: too many arguments (%d > 5)", len(args))
-	}
-	j := p.jit
-	if forceInterp {
-		j = nil
 	}
 	var st *runState
 	scratch := false
@@ -313,32 +261,11 @@ func (p *Program) launch(env any, args []uint64, forceInterp bool) (uint64, erro
 			p.scratch = p.newRunState()
 		}
 		st = p.scratch
-		// Fresh runs see a zeroed frame. The JIT's read-span analysis
-		// bounds every address the program (or a helper, through an
-		// argument) can read, so only that suffix needs wiping on
-		// scratch reuse; the interpreter path and programs with
-		// dynamic addressing wipe everything.
-		if j != nil && j.zeroFrom > 0 {
-			clear(st.stack[j.zeroFrom:])
-		} else {
-			st.stack = [StackSize]byte{}
-		}
+		st.stack = [StackSize]byte{} // fresh runs see a zeroed frame
 	} else {
 		st = p.newRunState()
 	}
-	st.regs = [numRegisters]uint64{}
-	for i, a := range args {
-		st.regs[R1+Register(i)] = a
-	}
-	st.regs[R10] = stackTop
-	st.ctx.Env = env
-	var ret uint64
-	var err error
-	if j != nil {
-		ret, err = p.runJIT(st)
-	} else {
-		ret, err = p.runInterp(st, 0, 0)
-	}
+	ret, err := p.start(st, env, args)
 	// Release the scratch buffer and/or count the completed run. A
 	// panicking helper skips this and orphans the scratch (later runs
 	// stay correct on fresh buffers), which is fine: helper panics are
@@ -354,9 +281,35 @@ func (p *Program) launch(env any, args []uint64, forceInterp bool) (uint64, erro
 	return ret, err
 }
 
+// InterpBranches runs the program on the reference interpreter with
+// hook observing every conditional jump it evaluates (the instruction
+// pc and whether the jump was taken). The absint differential fuzzer
+// uses this to check that edges the analysis declared infeasible are
+// never executed. Always runs on a private machine state.
+func (p *Program) InterpBranches(env any, hook func(pc int, taken bool), args ...uint64) (uint64, error) {
+	if len(args) > 5 {
+		return 0, fmt.Errorf("ebpf: too many arguments (%d > 5)", len(args))
+	}
+	st := p.newRunState()
+	st.branchHook = hook
+	return p.start(st, env, args)
+}
+
+// start loads the arguments, the frame pointer and env into st and
+// runs the program on it.
+func (p *Program) start(st *runState, env any, args []uint64) (uint64, error) {
+	st.regs = [numRegisters]uint64{}
+	for i, a := range args {
+		st.regs[R1+Register(i)] = a
+	}
+	st.regs[R10] = stackTop
+	st.ctx.Env = env
+	return p.runInterp(st)
+}
+
 // newRunState allocates machine state wired to this program. The
 // CallContext's VM/Prog/stack fields never change across runs, so they
-// are set once here and only Env is written per launch — the full
+// are set once here and only Env is written per run — the full
 // struct assignment was four pointer writes (and their GC barriers) on
 // every kprobe firing. The scratch state keeps the last run's Env
 // reference alive until the next run; environments are long-lived
@@ -367,11 +320,9 @@ func (p *Program) newRunState() *runState {
 	return st
 }
 
-// runInterp is the reference dispatch loop. It picks up the machine
-// state from st at pc with steps already charged, so the JIT can hand
-// over a run whose remaining instruction budget might not cover a whole
-// block; plain interpreted runs enter with pc = steps = 0.
-func (p *Program) runInterp(st *runState, pc, steps int) (uint64, error) {
+// runInterp is the dispatch loop: it runs the machine state in st from
+// pc 0 until exit, an error or the instruction budget.
+func (p *Program) runInterp(st *runState) (uint64, error) {
 	regs := st.regs
 	ctx := &st.ctx
 	dec := p.dec
@@ -380,7 +331,8 @@ func (p *Program) runInterp(st *runState, pc, steps int) (uint64, error) {
 		dec = decodeProgram(p.insns, p.vm)
 		p.dec = dec
 	}
-	for ; ; steps++ {
+	pc := 0
+	for steps := 0; ; steps++ {
 		if steps >= InsnBudget {
 			return 0, fmt.Errorf("ebpf: %s: instruction budget exceeded", p.Name)
 		}
@@ -445,7 +397,7 @@ func (p *Program) runInterp(st *runState, pc, steps int) (uint64, error) {
 			storeSized(st.stack[i:], int(in.size), uint64(in.imm))
 			pc++
 		case decExit:
-			st.regs = regs // expose the final register file (engine tests)
+			st.regs = regs // expose the final register file (tests)
 			return regs[R0], nil
 		case decCall:
 			if in.helper == nil {
@@ -497,6 +449,9 @@ func (p *Program) runInterp(st *runState, pc, steps int) (uint64, error) {
 		}
 	}
 }
+
+// poison is the value calls clobber R1-R5 with.
+const poison = 0xdead_beef_dead_beef
 
 func aluOp64(op uint8, dst, src uint64) (uint64, error) {
 	switch op {
