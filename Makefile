@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (internal/analysis) run through go vet's
-# unitchecker protocol: detnondet, maporder, simtime, observerorder,
-# unitsafety, allowcheck. Zero unsuppressed diagnostics is the bar;
+# unitchecker protocol: detnondet, clusterepoch, maporder, simtime,
+# observerorder, unitsafety, allowcheck. Zero unsuppressed diagnostics is the bar;
 # see DESIGN.md §9 for the contracts and the //lint:allow syntax.
 lint:
 	@mkdir -p bin

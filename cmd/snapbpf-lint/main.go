@@ -1,6 +1,6 @@
 // Command snapbpf-lint runs the project's go/analysis suite
-// (internal/analysis): detnondet, maporder, simtime, observerorder,
-// unitsafety and allowcheck — the compile-time halves of the
+// (internal/analysis): detnondet, clusterepoch, maporder, simtime,
+// observerorder, unitsafety and allowcheck — the compile-time halves of the
 // determinism and observer contracts that internal/check verifies at
 // runtime. See DESIGN.md §9.
 //

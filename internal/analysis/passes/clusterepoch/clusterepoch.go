@@ -9,18 +9,12 @@
 // v.epoch on every ownership change, the closure captures the epoch
 // at arm time and re-checks it before touching pool state.
 //
-// Rule 1: inside any function literal passed to engine.Schedule (or
+// Inside any function literal passed to engine.Schedule (or
 // ScheduleAt), a warm-pool mutation — a mutating warmPool method
 // call, or a write to a warmPool/warmVM field — must be dominated by
 // an epoch comparison (`v.epoch == epoch` as an if condition or an
 // earlier && conjunct). A stale timer that skips the check evicts a
 // sandbox that is busy serving, or double-frees one already evicted.
-//
-// Rule 2: inside those same closures, a call through a value of a
-// named `Observer` interface type must be nil-guarded *within the
-// closure*. Observation is optional and the timer fires long after
-// arm time, so a nil check outside the literal proves nothing about
-// the state when it runs.
 //
 // Code using other dominance patterns (early return on a stale epoch)
 // must carry a //lint:allow clusterepoch directive with a reason.
@@ -44,7 +38,7 @@ const name = "clusterepoch"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "require epoch guards on warm-pool timer callbacks and nil-guarded observers in cluster Schedule closures",
+	Doc:      "require epoch guards on warm-pool timer callbacks in cluster",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -85,16 +79,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			recvT := pass.TypesInfo.TypeOf(sel.X)
-			if isPoolType(recvT) && !poolReaders[sel.Sel.Name] {
+			if isPoolType(pass.TypesInfo.TypeOf(sel.X)) && !poolReaders[sel.Sel.Name] {
 				checkEpochGuard(pass, tr, stack, fl, v.Pos(),
 					lintutil.ExprString(pass.Fset, sel.X)+"."+sel.Sel.Name)
-			}
-			if isObserver(recvT) && !nilGuarded(pass, stack, fl, sel.X) {
-				tr.Reportf(v.Pos(),
-					"observer hook %s.%s in a Schedule closure is not nil-guarded inside the closure; wrap it in `if %s != nil { ... }`",
-					lintutil.ExprString(pass.Fset, sel.X), sel.Sel.Name,
-					lintutil.ExprString(pass.Fset, sel.X))
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
@@ -165,20 +152,6 @@ func isPoolState(t types.Type) bool {
 	return isPoolType(t) || lintutil.IsNamed(t, "cluster", "warmVM", true)
 }
 
-// isObserver reports whether t is a named interface type called
-// Observer, whichever package defines it.
-func isObserver(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok || n.Obj().Name() != "Observer" {
-		return false
-	}
-	_, isIface := n.Underlying().(*types.Interface)
-	return isIface
-}
-
 // epochGuarded reports whether the node at the top of stack sits
 // inside an if (body or condition) whose condition compares an epoch
 // before pos. Ancestors outside the Schedule closure (below fl) do
@@ -238,42 +211,6 @@ func mentionsEpoch(e ast.Expr) bool {
 		return v.Sel.Name == "epoch"
 	case *ast.Ident:
 		return v.Name == "epoch"
-	}
-	return false
-}
-
-// nilGuarded reports whether the observer call at the top of stack is
-// inside the then-branch of an if within the closure whose condition
-// includes `recv != nil`.
-func nilGuarded(pass *analysis.Pass, stack []ast.Node, fl int, recv ast.Expr) bool {
-	want := lintutil.ExprString(pass.Fset, recv)
-	for i := len(stack) - 2; i >= fl; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok || stack[i+1] != ifs.Body {
-			continue
-		}
-		if condGuardsNil(pass, ifs.Cond, want) {
-			return true
-		}
-	}
-	return false
-}
-
-// condGuardsNil reports whether cond (or any && conjunct) is
-// `want != nil` or `nil != want`.
-func condGuardsNil(pass *analysis.Pass, cond ast.Expr, want string) bool {
-	switch e := cond.(type) {
-	case *ast.ParenExpr:
-		return condGuardsNil(pass, e.X, want)
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LAND:
-			return condGuardsNil(pass, e.X, want) || condGuardsNil(pass, e.Y, want)
-		case token.NEQ:
-			x := lintutil.ExprString(pass.Fset, e.X)
-			y := lintutil.ExprString(pass.Fset, e.Y)
-			return (x == want && y == "nil") || (y == want && x == "nil")
-		}
 	}
 	return false
 }

@@ -1,6 +1,5 @@
-// Package cluster exercises both clusterepoch rules: epoch guards on
-// warm-pool timer callbacks and nil-guarded observers inside
-// Schedule closures.
+// Package cluster exercises the clusterepoch rule: epoch guards on
+// warm-pool timer callbacks.
 package cluster
 
 import "sim"
@@ -23,7 +22,6 @@ func (w *warmPool) evictOldestIdle() *warmVM { return nil }
 
 type host struct {
 	pool warmPool
-	obs  sim.Observer
 }
 
 // guardedBodyOK is the canonical idiom: the epoch comparison
@@ -104,32 +102,6 @@ func readsOK(eng *sim.Engine, ho *host) {
 func outsideScheduleOK(ho *host, v *warmVM) {
 	ho.pool.park(v)
 	v.epoch++
-}
-
-// observerUnguarded fires a hook with no nil check at all.
-func observerUnguarded(eng *sim.Engine, ho *host) {
-	eng.Schedule(10, func() {
-		ho.obs.ClockAdvanced(0) // want `observer hook ho\.obs\.ClockAdvanced in a Schedule closure is not nil-guarded inside the closure`
-	})
-}
-
-// observerGuardedOutside checks outside the literal: by fire time the
-// check proves nothing, so it still reports.
-func observerGuardedOutside(eng *sim.Engine, ho *host) {
-	if ho.obs != nil {
-		eng.Schedule(10, func() {
-			ho.obs.ClockAdvanced(0) // want `observer hook ho\.obs\.ClockAdvanced in a Schedule closure is not nil-guarded inside the closure`
-		})
-	}
-}
-
-// observerGuardedInsideOK nil-checks within the closure.
-func observerGuardedInsideOK(eng *sim.Engine, ho *host) {
-	eng.Schedule(10, func() {
-		if ho.obs != nil {
-			ho.obs.ClockAdvanced(0)
-		}
-	})
 }
 
 // suppressed carries a reasoned directive (the early-return pattern).

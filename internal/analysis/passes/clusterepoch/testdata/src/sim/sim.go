@@ -4,12 +4,6 @@ package sim
 // Time is a virtual-clock instant.
 type Time int64
 
-// Observer receives engine events; a nil observer disables them.
-type Observer interface {
-	EventScheduled(at Time)
-	ClockAdvanced(now Time)
-}
-
 // Engine is the discrete-event scheduler.
 type Engine struct{}
 

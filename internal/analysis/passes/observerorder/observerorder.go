@@ -1,21 +1,16 @@
-// Package observerorder enforces the observer contracts of the
-// correctness harness (internal/check).
+// Package observerorder enforces the causal-order contract of the
+// page-cache observers (internal/check, internal/obs).
 //
-// Rule 1 (everywhere): a call through a value of any named `Observer`
-// interface type must be nil-guarded — observation is optional, a nil
-// observer is the fast path, and an unguarded hook is a latent panic
-// on every configuration that doesn't install the harness. The
-// recognized guard is an enclosing `if x != nil { ... x.Hook(...) }`
-// (possibly with further && conjuncts), matching the receiver
-// expression structurally. Code using other dominance patterns (early
-// return) must carry a //lint:allow observerorder directive.
-//
-// Rule 2 (package pagecache only): in any function that both invokes
-// the PageInserted observer hook and dispatches kprobes
-// (kprobe.Registry.Fire), PageInserted must come first. An attached
-// eBPF program can recursively insert further pages, so firing the
-// probe first delivers cache events to the harness out of causal
-// order — the exact bug PR 3 found at runtime.
+// In package pagecache, in any function that both invokes the
+// PageInserted hook on a value of a named `Observer` interface type
+// (typically `for _, o := range c.obs { o.PageInserted(...) }`) and
+// dispatches kprobes (kprobe.Registry.Fire), PageInserted must come
+// first. An attached eBPF program can recursively insert further
+// pages, so firing the probe first delivers cache events to the
+// observers out of causal order — a bug the runtime harness once
+// caught. Hooks need no nil guard: every layer keeps a nil-free
+// observer list. Code that must dispatch first carries a
+// //lint:allow observerorder directive.
 package observerorder
 
 import (
@@ -37,7 +32,7 @@ const name = "observerorder"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     name,
-	Doc:      "require nil-guarded observer hooks, and PageInserted before kprobe dispatch in pagecache",
+	Doc:      "require the PageInserted observer hook before kprobe dispatch in pagecache",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -64,9 +59,13 @@ type fnEvent struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	tr := allow.New(pass, name)
+	// Finish must run even outside pagecache so that a stray
+	// //lint:allow observerorder there is reported as unused.
 	defer tr.Finish()
+	if lintutil.PkgBase(pass.Pkg.Path()) != "pagecache" {
+		return nil, nil
+	}
 
-	inPagecache := lintutil.PkgBase(pass.Pkg.Path()) == "pagecache"
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	var fires, inserts []fnEvent
@@ -80,26 +79,17 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		}
 		recvT := pass.TypesInfo.TypeOf(sel.X)
-		if isObserver(recvT) {
-			if !guarded(pass, stack, sel.X) {
-				tr.Reportf(call.Pos(),
-					"observer hook %s.%s is not nil-guarded; wrap it in `if %s != nil { ... }`",
-					lintutil.ExprString(pass.Fset, sel.X), sel.Sel.Name,
-					lintutil.ExprString(pass.Fset, sel.X))
-			}
-			if inPagecache && sel.Sel.Name == "PageInserted" {
-				inserts = append(inserts, fnEvent{enclosingFunc(stack), call.Pos()})
-			}
+		if sel.Sel.Name == "PageInserted" && isObserver(recvT) {
+			inserts = append(inserts, fnEvent{enclosingFunc(stack), call.Pos()})
 		}
-		if inPagecache && sel.Sel.Name == "Fire" &&
-			lintutil.IsNamed(recvT, "kprobe", "Registry", true) {
+		if sel.Sel.Name == "Fire" && lintutil.IsNamed(recvT, "kprobe", "Registry", true) {
 			fires = append(fires, fnEvent{enclosingFunc(stack), call.Pos()})
 		}
 		return true
 	})
 
-	// Rule 2: within each function containing both, every kprobe
-	// dispatch must follow the first PageInserted invocation.
+	// Within each function containing both, every kprobe dispatch
+	// must follow the first PageInserted invocation.
 	sort.Slice(fires, func(i, j int) bool { return fires[i].pos < fires[j].pos })
 	for _, f := range fires {
 		first := token.NoPos
@@ -126,39 +116,4 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 		}
 	}
 	return nil
-}
-
-// guarded reports whether the call at the top of stack sits inside the
-// then-branch of an if whose condition includes `recv != nil`.
-func guarded(pass *analysis.Pass, stack []ast.Node, recv ast.Expr) bool {
-	want := lintutil.ExprString(pass.Fset, recv)
-	for i := len(stack) - 2; i >= 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok || stack[i+1] != ifs.Body {
-			continue
-		}
-		if condGuards(pass, ifs.Cond, want) {
-			return true
-		}
-	}
-	return false
-}
-
-// condGuards reports whether cond (or any && conjunct of it) is
-// `want != nil` or `nil != want`.
-func condGuards(pass *analysis.Pass, cond ast.Expr, want string) bool {
-	switch e := cond.(type) {
-	case *ast.ParenExpr:
-		return condGuards(pass, e.X, want)
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LAND:
-			return condGuards(pass, e.X, want) || condGuards(pass, e.Y, want)
-		case token.NEQ:
-			x := lintutil.ExprString(pass.Fset, e.X)
-			y := lintutil.ExprString(pass.Fset, e.Y)
-			return (x == want && y == "nil") || (y == want && x == "nil")
-		}
-	}
-	return false
 }

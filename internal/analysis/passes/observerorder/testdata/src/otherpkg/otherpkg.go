@@ -1,27 +1,26 @@
-// Package otherpkg checks that rule 1 (nil-guarding) applies outside
-// pagecache while rule 2 (kprobe ordering) does not.
+// Package otherpkg checks that the kprobe-ordering rule binds only
+// package pagecache.
 package otherpkg
 
 import "kprobe"
 
 // Observer is this package's own observer interface.
 type Observer interface {
-	EventScheduled(at int64)
+	PageInserted(idx int64)
 }
 
 type engine struct {
-	obs    Observer
+	obs    []Observer
 	probes *kprobe.Registry
 }
 
-func (e *engine) unguarded(at int64) {
-	e.obs.EventScheduled(at) // want `observer hook e\.obs\.EventScheduled is not nil-guarded`
-}
-
-func (e *engine) fireThenObserveOK(at int64) {
+func (e *engine) fireThenObserveOK(idx int64) {
 	// Not pagecache: dispatch-before-hook ordering is not constrained.
 	e.probes.Fire("hook", 0, 0)
-	if e.obs != nil {
-		e.obs.EventScheduled(at)
+	for _, o := range e.obs {
+		o.PageInserted(idx)
 	}
 }
+
+//lint:allow observerorder nothing to suppress here // want `unused //lint:allow observerorder directive`
+func clean() {}

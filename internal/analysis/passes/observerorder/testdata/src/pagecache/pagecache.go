@@ -1,64 +1,51 @@
-// Package pagecache exercises both observer rules: nil-guarding of
-// hook calls (everywhere) and PageInserted-before-kprobe-dispatch
-// (specific to this package).
+// Package pagecache exercises the PageInserted-before-kprobe-dispatch
+// rule, in the observer-list form the real cache uses and through a
+// single observer value.
 package pagecache
 
 import "kprobe"
 
-// Observer receives cache events; a nil observer disables observation.
+// Observer receives cache events.
 type Observer interface {
 	PageInserted(idx int64)
 	PageEvicted(idx int64)
 }
 
 type cache struct {
-	obs    Observer
+	obs    []Observer
 	probes *kprobe.Registry
 }
 
-func (c *cache) unguarded(idx int64) {
-	c.obs.PageInserted(idx) // want `observer hook c\.obs\.PageInserted is not nil-guarded`
-}
-
-func (c *cache) guardedOK(idx int64) {
-	if c.obs != nil {
-		c.obs.PageInserted(idx)
-	}
-}
-
-func (c *cache) guardedConjunctOK(idx int64) {
-	if idx >= 0 && c.obs != nil {
-		c.obs.PageEvicted(idx)
-	}
-}
-
-func (c *cache) localVarGuardOK(idx int64) {
-	if obs := c.obs; obs != nil {
-		obs.PageEvicted(idx)
-	}
-}
-
-func (c *cache) wrongGuard(idx int64) {
-	if idx > 0 {
-		c.obs.PageEvicted(idx) // want `observer hook c\.obs\.PageEvicted is not nil-guarded`
-	}
-}
-
-// insertWrongOrder reproduces the PR 3 bug: the kprobe fires before
-// the observer sees the insertion, so a recursive prefetch insert
-// reaches the harness out of causal order.
+// insertWrongOrder reproduces the causal-order bug: the kprobe fires
+// before the observers see the insertion, so a recursive prefetch
+// insert reaches them out of order.
 func (c *cache) insertWrongOrder(idx int64) {
 	c.probes.Fire("add_to_page_cache_lru", 1, uint64(idx)) // want `kprobe dispatch precedes the PageInserted observer`
-	if c.obs != nil {
-		c.obs.PageInserted(idx)
+	for _, o := range c.obs {
+		o.PageInserted(idx)
 	}
 }
 
 func (c *cache) insertRightOrderOK(idx int64) {
-	if c.obs != nil {
-		c.obs.PageInserted(idx)
+	for _, o := range c.obs {
+		o.PageInserted(idx)
 	}
 	c.probes.Fire("add_to_page_cache_lru", 1, uint64(idx))
+}
+
+// singleObserverWrongOrder: the rule keys on the hook's receiver type,
+// not on how the observer was reached.
+func (c *cache) singleObserverWrongOrder(o Observer, idx int64) {
+	c.probes.Fire("add_to_page_cache_lru", 1, uint64(idx)) // want `kprobe dispatch precedes the PageInserted observer`
+	o.PageInserted(idx)
+}
+
+func (c *cache) evictThenFireOK(idx int64) {
+	// Only PageInserted is ordered against dispatch.
+	c.probes.Fire("add_to_page_cache_lru", 1, uint64(idx))
+	for _, o := range c.obs {
+		o.PageEvicted(idx)
+	}
 }
 
 func (c *cache) fireAloneOK(idx int64) {
@@ -68,7 +55,10 @@ func (c *cache) fireAloneOK(idx int64) {
 }
 
 func (c *cache) suppressed(idx int64) {
-	c.obs.PageEvicted(idx) //lint:allow observerorder golden test of the suppression path
+	c.probes.Fire("add_to_page_cache_lru", 1, uint64(idx)) //lint:allow observerorder golden test of the suppression path
+	for _, o := range c.obs {
+		o.PageInserted(idx)
+	}
 }
 
 //lint:allow observerorder this directive covers no diagnostic // want `unused //lint:allow observerorder directive`

@@ -141,14 +141,14 @@ type Device struct {
 	// nextIO numbers submissions for observer submit/complete pairing.
 	nextIO int64
 
-	obs Observer
+	obs []Observer
 
 	stats Stats
 }
 
 // Observer receives device-level events for the correctness harness
-// (internal/check). Observers must not mutate device state; a nil
-// observer costs one branch per event.
+// (internal/check) and the observability layer (internal/obs).
+// Observers must not mutate device state.
 type Observer interface {
 	// IOSubmitted fires once per submission, after it was split into
 	// parts requests. id is the submission's device-unique identifier
@@ -171,8 +171,8 @@ type Observer interface {
 	IOCompleted(id int64, failed bool)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (d *Device) SetObserver(obs Observer) { d.obs = obs }
+// AddObserver attaches o after the device's other observers.
+func (d *Device) AddObserver(o Observer) { d.obs = sim.AppendObserver(d.obs, o) }
 
 // IO is the handle for one submission: a completion Waiter plus the
 // submission's error status, valid once the Waiter has fired. A
@@ -301,8 +301,8 @@ func (d *Device) submit(off, length int64, sync bool, attempt int) *IO {
 	io := &IO{id: d.nextIO, done: d.eng.NewWaiter()}
 	parts := splitRequest(off, length, d.p.MaxRequestBytes)
 	remain := len(parts)
-	if d.obs != nil {
-		d.obs.IOSubmitted(io.id, off, length, sync, attempt, len(parts))
+	for _, o := range d.obs {
+		o.IOSubmitted(io.id, off, length, sync, attempt, len(parts))
 	}
 	for _, part := range parts {
 		r := &request{off: part.off, len: part.len, io: io, remain: &remain, sync: sync, attempt: attempt}
@@ -363,8 +363,8 @@ func (d *Device) service(r *request) {
 			d.asyncQ = append([]*request{tail}, d.asyncQ...)
 		}
 	}
-	if d.obs != nil {
-		d.obs.RequestServiced(r.off, r.len, r.attempt, d.inFlight, out)
+	for _, o := range d.obs {
+		o.RequestServiced(r.off, r.len, r.attempt, d.inFlight, out)
 	}
 	mt := d.mediaTime(r.off, r.len) + out.ExtraMediaTime
 	if r.off == d.lastEnd {
@@ -384,12 +384,12 @@ func (d *Device) service(r *request) {
 	d.eng.ScheduleAt(completeAt, func() {
 		d.inFlight--
 		*r.remain--
-		if d.obs != nil {
-			d.obs.RequestCompleted(d.inFlight)
+		for _, o := range d.obs {
+			o.RequestCompleted(d.inFlight)
 		}
 		if *r.remain == 0 {
-			if d.obs != nil {
-				d.obs.IOCompleted(r.io.id, r.io.err != nil)
+			for _, o := range d.obs {
+				o.IOCompleted(r.io.id, r.io.err != nil)
 			}
 			r.io.done.Fire()
 		}

@@ -234,10 +234,6 @@ type Checker struct {
 	lastProc  *sim.Proc
 	lastStack *accessStack
 
-	// vms lists every restored sandbox in creation order, including
-	// scheme-internal record VMs.
-	vms []*vmm.MicroVM
-
 	// prefetch-level counters.
 	recordsDone  int
 	preparesDone int
@@ -304,10 +300,11 @@ func (c *Checker) Counts() Counts {
 	return n
 }
 
-// New attaches a fresh checker to every layer of the host: the
-// engine, block device, page cache and memory manager immediately,
-// and each sandbox's KVM instance as it is restored (via
-// Host.OnRestore, chaining any existing hook). Call before the first
+// New attaches a fresh checker to every layer of the host — the
+// engine, block device, page cache, memory manager and the KVM of
+// every sandbox restored from now on — next to any observers already
+// there. The caller adds it to prefetch.Env.Observers for scheme
+// events, and AttachStore wires a chunk cache. Call before the first
 // simulated event of the run.
 func New(h *vmm.Host, inj *faults.Injector) *Checker {
 	c := &Checker{
@@ -323,18 +320,11 @@ func New(h *vmm.Host, inj *faults.Injector) *Checker {
 		storeRefs:   make(map[uint64]int64),
 	}
 	c.lastNow = h.Eng.Now()
-	h.Eng.SetObserver(c)
-	h.Dev.SetObserver(c)
-	h.Cache.SetObserver(c)
-	h.MM.SetObserver(c)
-	prev := h.OnRestore
-	h.OnRestore = func(vm *vmm.MicroVM) {
-		if prev != nil {
-			prev(vm)
-		}
-		c.vms = append(c.vms, vm)
-		vm.KVM.SetObserver(c)
-	}
+	h.Eng.AddObserver(c)
+	h.Dev.AddObserver(c)
+	h.Cache.AddObserver(c)
+	h.MM.AddObserver(c)
+	h.AddKVMObserver(c)
 	return c
 }
 

@@ -28,7 +28,7 @@ func runChecked(t *testing.T) (*Checker, *vmm.Host, *vmm.MicroVM, *prefetch.Env)
 	env := &prefetch.Env{
 		Host: h, Fn: fn, Image: img, SnapInode: ino,
 		RecordTrace: fn.GenTrace(), InvokeTrace: fn.GenTrace(),
-		Check: chk,
+		Observers: []prefetch.Observer{chk},
 	}
 	var vm *vmm.MicroVM
 	h.Eng.Go("vm0", func(p *sim.Proc) {

@@ -28,10 +28,13 @@ import (
 //     manifest refcounts and the fault injector's report must all
 //     agree.
 
-// AttachStore registers the host chunk cache whose statistics and
-// refcounts Finish reconciles against the event-fed mirror. The
-// checker must already be installed as the cache's observer.
-func (c *Checker) AttachStore(hc *store.HostCache) { c.storeHC = hc }
+// AttachStore observes the host chunk cache and registers it as the
+// cache whose statistics and refcounts Finish reconciles against the
+// event-fed mirror. Call before the cache's first event.
+func (c *Checker) AttachStore(hc *store.HostCache) {
+	hc.AddObserver(c)
+	c.storeHC = hc
+}
 
 // StoreManifestRegistered implements store.Observer.
 func (c *Checker) StoreManifestRegistered(fn string, m *store.Manifest) {

@@ -36,7 +36,6 @@ func TestStoreMirrorCleanRun(t *testing.T) {
 	remote := store.NewRemote(store.Params{
 		FirstByte: 10 * time.Millisecond, MiBps: 1024, ChunkPages: 4})
 	hc := store.NewHostCache(h.Eng, remote, faults.NewInjector(faults.Plan{}))
-	hc.SetObserver(chk)
 	chk.AttachStore(hc)
 	tags := make([]uint64, 16)
 	for i := range tags {
@@ -139,7 +138,6 @@ func TestStoreMirrorReconciliationCatchesDrift(t *testing.T) {
 	remote := store.NewRemote(store.Params{
 		FirstByte: 10 * time.Millisecond, MiBps: 1024, ChunkPages: 4})
 	hc := store.NewHostCache(h.Eng, remote, faults.NewInjector(faults.Plan{}))
-	hc.SetObserver(chk)
 	chk.AttachStore(hc)
 	tags := make([]uint64, 8)
 	for i := range tags {

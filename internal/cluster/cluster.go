@@ -132,39 +132,6 @@ type host struct {
 	warmEvicted int
 }
 
-// simHead returns the host's engine-event observer head: the recorder
-// when armed (it forwards to the checker), else the checker.
-func (h *host) simHead() sim.Observer {
-	if h.rec != nil {
-		return h.rec
-	}
-	if h.chk != nil {
-		return h.chk
-	}
-	return nil
-}
-
-// multiSimObserver fans engine events out to every host's observer
-// chain: the engine has a single observer slot, but each host's
-// checker watches clock monotonicity independently.
-type multiSimObserver []sim.Observer
-
-func (m multiSimObserver) EventScheduled(at sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.EventScheduled(at)
-		}
-	}
-}
-
-func (m multiSimObserver) ClockAdvanced(now sim.Time) {
-	for _, o := range m {
-		if o != nil {
-			o.ClockAdvanced(now)
-		}
-	}
-}
-
 // runState is the live dispatch state shared by the front end and the
 // serving procs; everything runs on one engine, so access is already
 // serialized.
@@ -297,7 +264,9 @@ func Run(cfg Config) (*Result, error) {
 		// hosts is exactly the cross-host dedup the report surfaces.
 		remote = store.NewRemote(cfg.Store.Params)
 	}
-	var simHeads []sim.Observer
+	// Every host's checker and recorder attach to the one shared engine,
+	// so each sees the region-wide clock stream (per-host sim-event
+	// counters are therefore region-global; DESIGN.md §13).
 	for i := range hosts {
 		name := fmt.Sprintf("host%d", i)
 		if len(cfg.HostNames) > 0 {
@@ -309,27 +278,22 @@ func Run(cfg Config) (*Result, error) {
 			ho.inj = faults.NewInjector(*p)
 		}
 		hv.Dev.SetFaults(ho.inj)
+		var schemeObs []prefetch.Observer
 		if cfg.Check {
 			ho.chk = check.New(hv, ho.inj)
+			schemeObs = append(schemeObs, ho.chk)
 		}
 		if cfg.Obs.Enabled() {
-			var next obs.Chain
-			if ho.chk != nil {
-				c := ho.chk
-				next = obs.Chain{Sim: c, Dev: c, Cache: c, MM: c, KVM: c, Prefetch: c, Store: c}
-			}
-			ho.rec = obs.Attach(hv, *cfg.Obs, next)
+			ho.rec = obs.Attach(hv, *cfg.Obs)
+			schemeObs = append(schemeObs, ho.rec)
 		}
 		if remote != nil {
 			ho.cache = store.NewHostCache(eng, remote, ho.inj)
-			switch {
-			case ho.rec != nil:
-				ho.cache.SetObserver(ho.rec)
-			case ho.chk != nil:
-				ho.cache.SetObserver(ho.chk)
-			}
 			if ho.chk != nil {
 				ho.chk.AttachStore(ho.cache)
+			}
+			if ho.rec != nil {
+				ho.cache.AddObserver(ho.rec)
 			}
 		}
 		for _, fname := range fnNames {
@@ -348,12 +312,7 @@ func Run(cfg Config) (*Result, error) {
 				RecordTrace: fn.GenTrace(),
 				InvokeTrace: fn.GenTrace(),
 				Faults:      ho.inj,
-			}
-			switch {
-			case ho.rec != nil:
-				env.Check = ho.rec
-			case ho.chk != nil:
-				env.Check = ho.chk
+				Observers:   schemeObs,
 			}
 			var bind *store.Binding
 			if ho.cache != nil {
@@ -367,21 +326,7 @@ func Run(cfg Config) (*Result, error) {
 				warmExec: env.InvokeTrace.Summarize().TotalCompute,
 			}
 		}
-		if head := ho.simHead(); head != nil {
-			simHeads = append(simHeads, head)
-		}
 		hosts[i] = ho
-	}
-	// The engine observer slot is single; fan out so every host's
-	// checker/recorder sees the region-wide clock stream. (Per-host
-	// sim-event counters are therefore region-global — documented in
-	// DESIGN.md §13.)
-	switch len(simHeads) {
-	case 0:
-	case 1:
-		eng.SetObserver(simHeads[0])
-	default:
-		eng.SetObserver(multiSimObserver(simHeads))
 	}
 
 	// --- Record phase: sequential per (host index, sorted function) ---

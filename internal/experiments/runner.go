@@ -156,8 +156,8 @@ type Config struct {
 	// Obs, when non-nil and enabled, arms the observability layer
 	// (internal/obs): a Recorder observes every layer of the run and
 	// the resulting trace/metrics report lands in RunResult.Obs.
-	// Composes with Check — the recorder forwards every event to the
-	// checker, so both see the identical stream.
+	// Composes with Check — the checker and the recorder attach side by
+	// side, so both see the identical stream.
 	Obs *obs.Config
 
 	// Store, when non-nil with a non-local tier, places the snapshot
@@ -202,20 +202,15 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	// Arm the harness before any simulated event so the shadow state
 	// observes the run from the very first page-cache insert.
 	var chk *check.Checker
+	var rec *obs.Recorder
+	var schemeObs []prefetch.Observer
 	if cfg.Check {
 		chk = check.New(h, inj)
+		schemeObs = append(schemeObs, chk)
 	}
-	// The recorder attaches second so it wraps every layer the checker
-	// just claimed, forwarding each event downstream — both see the
-	// identical stream, and the KVM OnRestore chain ends at the
-	// recorder (which forwards to the checker).
-	var rec *obs.Recorder
 	if cfg.Obs.Enabled() {
-		var next obs.Chain
-		if chk != nil {
-			next = obs.Chain{Sim: chk, Dev: chk, Cache: chk, MM: chk, KVM: chk, Prefetch: chk, Store: chk}
-		}
-		rec = obs.Attach(h, *cfg.Obs, next)
+		rec = obs.Attach(h, *cfg.Obs)
+		schemeObs = append(schemeObs, rec)
 	}
 	pf := scheme.New()
 
@@ -233,12 +228,7 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 		RecordTrace: fn.GenTrace(),
 		InvokeTrace: fn.GenTrace(),
 		Faults:      inj,
-	}
-	switch {
-	case rec != nil:
-		env.Check = rec // forwards to chk when armed
-	case chk != nil:
-		env.Check = chk
+		Observers:   schemeObs,
 	}
 
 	// --- Distribution tier ---
@@ -252,14 +242,11 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	if sc := cfg.Store; sc != nil && sc.Tier != store.TierLocal {
 		remote = store.NewRemote(sc.Params)
 		hcStore = store.NewHostCache(h.Eng, remote, inj)
-		switch {
-		case rec != nil:
-			hcStore.SetObserver(rec) // forwards to chk when armed
-		case chk != nil:
-			hcStore.SetObserver(chk)
-		}
 		if chk != nil {
 			chk.AttachStore(hcStore)
+		}
+		if rec != nil {
+			hcStore.AddObserver(rec)
 		}
 		man := store.BuildManifest(fn.Name, img.PageTags, remote.Params().ChunkPages)
 		if sc.SabotageChunk > 0 && sc.SabotageChunk <= len(man.Chunks) {

@@ -76,7 +76,7 @@ func TestReportMatchesAppliedTreatments(t *testing.T) {
 			dev := blockdev.New(eng, blockdev.MicronSATA5300())
 			dev.SetFaults(inj)
 			ctr := &treatmentCounter{}
-			dev.SetObserver(ctr)
+			dev.AddObserver(ctr)
 
 			var retries int64
 			for i := 0; i < 40; i++ {

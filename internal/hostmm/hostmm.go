@@ -29,12 +29,12 @@ type MM struct {
 
 	totalAnon int64
 	spaces    []*AddressSpace
-	obs       Observer
+	obs       []Observer
 }
 
 // Observer receives address-space events for the correctness harness
-// (internal/check). Observers must not mutate MM state; a nil observer
-// costs one branch per event. Together the events let a checker mirror
+// (internal/check) and the observability layer (internal/obs).
+// Observers must not mutate MM state. Together the events let a checker mirror
 // every PTE transition: file pages via FilePageMapped/FilePageUnmapped,
 // anonymous pages via AnonInstalled/AnonDropped plus the CoW and
 // zero-fill cases of FaultResolved.
@@ -60,8 +60,8 @@ type Observer interface {
 	FaultResolved(p *sim.Proc, as *AddressSpace, page int64, write bool, kind FaultKind)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (mm *MM) SetObserver(obs Observer) { mm.obs = obs }
+// AddObserver attaches o after the MM's other observers.
+func (mm *MM) AddObserver(o Observer) { mm.obs = sim.AppendObserver(mm.obs, o) }
 
 // Spaces returns every address space ever created on this MM,
 // including released ones, in creation order.
@@ -200,8 +200,8 @@ func (mm *MM) NewAddressSpace(name string, nrPages int64) *AddressSpace {
 		pt:      make([]pte, nrPages),
 	}
 	mm.spaces = append(mm.spaces, as)
-	if mm.obs != nil {
-		mm.obs.SpaceCreated(as)
+	for _, o := range mm.obs {
+		o.SpaceCreated(as)
 	}
 	return as
 }
@@ -236,15 +236,15 @@ func (as *AddressSpace) Release() {
 		case pteFileRO:
 			as.unmapFilePage(int64(pg))
 		case pteAnon:
-			if as.mm.obs != nil {
-				as.mm.obs.AnonDropped(as, int64(pg))
+			for _, o := range as.mm.obs {
+				o.AnonDropped(as, int64(pg))
 			}
 		}
 		as.pt[pg] = pteNone
 	}
 	as.vmas = nil
-	if as.mm.obs != nil {
-		as.mm.obs.SpaceReleased(as)
+	for _, o := range as.mm.obs {
+		o.SpaceReleased(as)
 	}
 }
 
@@ -253,8 +253,8 @@ func (as *AddressSpace) Release() {
 func (as *AddressSpace) unmapFilePage(page int64) {
 	if v := as.FindVMA(page); v != nil && v.Inode != nil {
 		v.Inode.UnmapPage(v.filePage(page))
-		if as.mm.obs != nil {
-			as.mm.obs.FilePageUnmapped(as, page, v.Inode, v.filePage(page))
+		for _, o := range as.mm.obs {
+			o.FilePageUnmapped(as, page, v.Inode, v.filePage(page))
 		}
 	}
 }
@@ -304,8 +304,8 @@ func (as *AddressSpace) unmapRange(start, n int64) {
 		if as.pt[pg] == pteAnon {
 			as.anonPages--
 			as.mm.totalAnon--
-			if as.mm.obs != nil {
-				as.mm.obs.AnonDropped(as, pg)
+			for _, o := range as.mm.obs {
+				o.AnonDropped(as, pg)
 			}
 		}
 		as.pt[pg] = pteNone
@@ -385,8 +385,8 @@ func (as *AddressSpace) InstallAnonZeroPage(p *sim.Proc, page int64) bool {
 		p.Sleep(as.mm.cm.ZeroFillPage)
 	}
 	as.installAnon(page)
-	if as.mm.obs != nil {
-		as.mm.obs.AnonInstalled(as, page, 0, true)
+	for _, o := range as.mm.obs {
+		o.AnonInstalled(as, page, 0, true)
 	}
 	return true
 }
@@ -402,8 +402,8 @@ func (as *AddressSpace) HandleFault(p *sim.Proc, page int64, write bool) FaultKi
 	}
 
 	kind := as.resolveFault(p, page, write, v)
-	if as.mm.obs != nil {
-		as.mm.obs.FaultResolved(p, as, page, write, kind)
+	for _, o := range as.mm.obs {
+		o.FaultResolved(p, as, page, write, kind)
 	}
 	return kind
 }
@@ -465,8 +465,8 @@ func (as *AddressSpace) resolveFault(p *sim.Proc, page int64, write bool, v *VMA
 		as.pt[page] = pteFileRO
 		v.Inode.MapPage(v.filePage(page))
 		v.Inode.Unpin(v.filePage(page))
-		if as.mm.obs != nil {
-			as.mm.obs.FilePageMapped(as, page, v.Inode, v.filePage(page))
+		for _, o := range as.mm.obs {
+			o.FilePageMapped(as, page, v.Inode, v.filePage(page))
 		}
 		as.stats.File++
 		return FaultFile
@@ -521,8 +521,8 @@ func (u *Uffd) ZeroPage(p *sim.Proc, page int64) bool {
 	}
 	u.as.installAnon(page)
 	u.copies++
-	if u.as.mm.obs != nil {
-		u.as.mm.obs.AnonInstalled(u.as, page, 0, true)
+	for _, o := range u.as.mm.obs {
+		o.AnonInstalled(u.as, page, 0, true)
 	}
 	return true
 }
@@ -554,8 +554,8 @@ func (u *Uffd) copy(p *sim.Proc, page int64, content uint64, known bool) bool {
 	}
 	u.as.installAnon(page)
 	u.copies++
-	if u.as.mm.obs != nil {
-		u.as.mm.obs.AnonInstalled(u.as, page, content, known)
+	for _, o := range u.as.mm.obs {
+		o.AnonInstalled(u.as, page, content, known)
 	}
 	return true
 }

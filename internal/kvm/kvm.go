@@ -51,13 +51,13 @@ type VM struct {
 	cm    costmodel.Model
 	ept   []eptPerm
 	dirty []bool // guest frames written since VM creation
-	obs   Observer
+	obs   []Observer
 	stats Stats
 }
 
 // Observer receives guest-access events for the correctness harness
-// (internal/check). Observers must not mutate VM state; a nil observer
-// costs one branch per access. AccessBegin/AccessEnd bracket the
+// (internal/check) and the observability layer (internal/obs).
+// Observers must not mutate VM state. AccessBegin/AccessEnd bracket the
 // access so host-level events (CoW breaks, uffd copies) occurring
 // in between can be attributed to the guest access that caused them.
 type Observer interface {
@@ -68,8 +68,8 @@ type Observer interface {
 	AccessEnd(p *sim.Proc, v *VM, pfn int64, write, mirror bool)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (v *VM) SetObserver(obs Observer) { v.obs = obs }
+// AddObserver attaches o after the VM's other observers.
+func (v *VM) AddObserver(o Observer) { v.obs = sim.AppendObserver(v.obs, o) }
 
 // New creates the nested-paging state for a VM whose guest memory is
 // backed by as at host pages [hostBase, hostBase+g.Config().NrPages).
@@ -107,14 +107,14 @@ func (v *VM) Access(p *sim.Proc, pfn int64, write bool) {
 	if write {
 		v.dirty[pfn] = true
 	}
-	if v.obs != nil {
-		v.obs.AccessBegin(p, v, pfn, write)
+	for _, o := range v.obs {
+		o.AccessBegin(p, v, pfn, write)
 	}
 	gpfn := v.Guest.TouchPFN(pfn)
 	if guest.IsMirror(gpfn) {
 		v.handleMirrorFault(p, gpfn)
-		if v.obs != nil {
-			v.obs.AccessEnd(p, v, pfn, write, true)
+		for _, o := range v.obs {
+			o.AccessEnd(p, v, pfn, write, true)
 		}
 		return
 	}
@@ -135,8 +135,8 @@ func (v *VM) Access(p *sim.Proc, pfn int64, write bool) {
 }
 
 func (v *VM) accessEnd(p *sim.Proc, pfn int64, write bool) {
-	if v.obs != nil {
-		v.obs.AccessEnd(p, v, pfn, write, false)
+	for _, o := range v.obs {
+		o.AccessEnd(p, v, pfn, write, false)
 	}
 }
 

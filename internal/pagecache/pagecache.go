@@ -87,14 +87,14 @@ type Cache struct {
 	// triggered the program. It is never read across a sleep.
 	cur *sim.Proc
 
-	obs Observer
+	obs []Observer
 
 	stats Stats
 }
 
 // Observer receives cache-level events for the correctness harness
-// (internal/check). Observers must not mutate cache state; a nil
-// observer costs one branch per event. Rmap map/unmap is deliberately
+// (internal/check) and the observability layer (internal/obs).
+// Observers must not mutate cache state. Rmap map/unmap is deliberately
 // NOT observed: the harness derives its own reference counts from
 // address-space events and cross-checks them against MapCount, so a
 // corrupted rmap counter cannot hide by also corrupting the shadow.
@@ -115,8 +115,8 @@ type Observer interface {
 	ReadaheadIssued(ino *Inode, start, n, inserted int64)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (c *Cache) SetObserver(obs Observer) { c.obs = obs }
+// AddObserver attaches o after the cache's other observers.
+func (c *Cache) AddObserver(o Observer) { c.obs = sim.AppendObserver(c.obs, o) }
 
 // ForEachInode visits every registered inode (iteration order is
 // unspecified; callers that need determinism must sort).
@@ -189,8 +189,8 @@ func (c *Cache) DropCaches() {
 				c.dropLRU(pg)
 				delete(ino.pages, idx)
 				c.nrCached--
-				if c.obs != nil {
-					c.obs.PageRemoved(ino, idx)
+				for _, o := range c.obs {
+					o.PageRemoved(ino, idx)
 				}
 			}
 		}
@@ -300,8 +300,8 @@ func (i *Inode) insert(p *sim.Proc, idx int64, done *sim.Waiter, readahead bool)
 	// Observe before the kprobe dispatch below: an attached program can
 	// recursively insert further pages, and observers must see cache
 	// events in causal order.
-	if i.c.obs != nil {
-		i.c.obs.PageInserted(i, idx, readahead)
+	for _, o := range i.c.obs {
+		o.PageInserted(i, idx, readahead)
 	}
 	i.c.touchLRU(pg)
 	i.c.reclaim()
@@ -501,11 +501,11 @@ func (i *Inode) ReadaheadAsync(start, n int64) int64 {
 			toRead = append(toRead, j)
 		}
 	}
-	if i.c.obs != nil {
-		// Before submitRuns: inserts dispatched below (and any
-		// prefetch program they fire recursively) must observe their
-		// causing readahead first.
-		i.c.obs.ReadaheadIssued(i, start, hi-start, int64(len(toRead)))
+	// Before submitRuns: inserts dispatched below (and any prefetch
+	// program they fire recursively) must observe their causing
+	// readahead first.
+	for _, o := range i.c.obs {
+		o.ReadaheadIssued(i, start, hi-start, int64(len(toRead)))
 	}
 	i.submitRuns(i.c.cur, toRead, true)
 	i.c.stats.RAInserted += int64(len(toRead))
@@ -570,8 +570,8 @@ func (i *Inode) Invalidate(start, n int64) {
 			i.c.dropLRU(pg)
 			delete(i.pages, j)
 			i.c.nrCached--
-			if i.c.obs != nil {
-				i.c.obs.PageRemoved(i, j)
+			for _, o := range i.c.obs {
+				o.PageRemoved(i, j)
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func TestNotifyHelpersNilSafe(t *testing.T) {
 // attached observer exactly once with the event's payload.
 func TestNotifyHelpersForward(t *testing.T) {
 	var o tallyObserver
-	drive(&Env{Check: &o})
+	drive(&Env{Observers: []Observer{&o}})
 	if o.records != 1 || o.artifacts != 1 || o.prepares != 1 || o.degraded != 1 ||
 		o.groups != 1 || o.loads != 1 {
 		t.Errorf("events delivered unevenly: %+v", o)

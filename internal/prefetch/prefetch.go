@@ -64,10 +64,11 @@ type Env struct {
 	// demand paging instead of failing the invocation.
 	Faults *faults.Injector
 
-	// Check, when non-nil, observes scheme-level events for the
-	// correctness harness (internal/check). Schemes report through the
-	// nil-safe Notify* helpers below.
-	Check Observer
+	// Observers receive scheme-level events, in order: the
+	// correctness harness (internal/check) and the observability layer
+	// (internal/obs) attach here side by side. Schemes report through
+	// the Notify* helpers below.
+	Observers []Observer
 
 	// ChunkPlan, when non-nil, receives the captured working-set page
 	// order once a scheme has it — the snapshot distribution tier
@@ -78,15 +79,16 @@ type Env struct {
 }
 
 // NotifyChunkPlan hands the working-set page order (first-access
-// sorted) to the distribution tier (nil-safe).
+// sorted) to the distribution tier.
 func (env *Env) NotifyChunkPlan(p *sim.Proc, pages []int64) {
 	if env.ChunkPlan != nil {
 		env.ChunkPlan(p, pages)
 	}
 }
 
-// Observer receives scheme-level events for the correctness harness.
-// Observers must not mutate scheme or VM state.
+// Observer receives scheme-level events for the correctness harness
+// and the observability layer. Observers must not mutate scheme or VM
+// state.
 type Observer interface {
 	// RecordDone fires when a scheme's record phase completes; wsPages
 	// is the captured working-set size (0 for schemes without one).
@@ -114,45 +116,45 @@ type Observer interface {
 	OffsetsLoaded(p *sim.Proc, scheme string, vm *vmm.MicroVM, groups int, took sim.Duration)
 }
 
-// NotifyRecordDone reports a completed record phase (nil-safe).
+// NotifyRecordDone reports a completed record phase.
 func (env *Env) NotifyRecordDone(scheme string, wsPages int64) {
-	if env.Check != nil {
-		env.Check.RecordDone(scheme, wsPages)
+	for _, o := range env.Observers {
+		o.RecordDone(scheme, wsPages)
 	}
 }
 
-// NotifyArtifact declares a working-set artifact's contents (nil-safe).
+// NotifyArtifact declares a working-set artifact's contents.
 func (env *Env) NotifyArtifact(ino *pagecache.Inode, tags []uint64) {
-	if env.Check != nil {
-		env.Check.ArtifactRegistered(ino, tags)
+	for _, o := range env.Observers {
+		o.ArtifactRegistered(ino, tags)
 	}
 }
 
-// NotifyPrepareDone reports a completed PrepareVM (nil-safe).
+// NotifyPrepareDone reports a completed PrepareVM.
 func (env *Env) NotifyPrepareDone(scheme string, vm *vmm.MicroVM) {
-	if env.Check != nil {
-		env.Check.PrepareDone(scheme, vm)
+	for _, o := range env.Observers {
+		o.PrepareDone(scheme, vm)
 	}
 }
 
-// NotifyDegraded reports a demand-paging fallback (nil-safe).
+// NotifyDegraded reports a demand-paging fallback.
 func (env *Env) NotifyDegraded(scheme string, vm *vmm.MicroVM, reason string) {
-	if env.Check != nil {
-		env.Check.Degraded(scheme, vm, reason)
+	for _, o := range env.Observers {
+		o.Degraded(scheme, vm, reason)
 	}
 }
 
-// NotifyPrefetchIssued reports one issued prefetch group (nil-safe).
+// NotifyPrefetchIssued reports one issued prefetch group.
 func (env *Env) NotifyPrefetchIssued(p *sim.Proc, scheme string, vm *vmm.MicroVM, start, npages int64) {
-	if env.Check != nil {
-		env.Check.PrefetchIssued(p, scheme, vm, start, npages)
+	for _, o := range env.Observers {
+		o.PrefetchIssued(p, scheme, vm, start, npages)
 	}
 }
 
-// NotifyOffsetsLoaded reports a completed offset-schedule load (nil-safe).
+// NotifyOffsetsLoaded reports a completed offset-schedule load.
 func (env *Env) NotifyOffsetsLoaded(p *sim.Proc, scheme string, vm *vmm.MicroVM, groups int, took sim.Duration) {
-	if env.Check != nil {
-		env.Check.OffsetsLoaded(p, scheme, vm, groups, took)
+	for _, o := range env.Observers {
+		o.OffsetsLoaded(p, scheme, vm, groups, took)
 	}
 }
 

@@ -29,7 +29,7 @@ func (r *streamRecorder) mark(s string) { r.calls = append(r.calls, s) }
 func TestObserverStreamPinned(t *testing.T) {
 	e := NewEngine()
 	rec := &streamRecorder{}
-	e.SetObserver(rec)
+	e.AddObserver(rec)
 	w := e.NewWaiter()
 	s := e.NewSemaphore(1)
 	e.Go("a", func(p *Proc) {

@@ -69,7 +69,7 @@ type Engine struct {
 	until    Time // dispatch horizon of the Run/RunUntil in progress
 	running  bool
 	nprocs   int // live (not yet finished) processes
-	obs      Observer
+	obs      []Observer
 
 	// home carries control back to the goroutine in Run/RunUntil when
 	// a process finds no event due before the horizon.
@@ -77,10 +77,9 @@ type Engine struct {
 	failure string // a panic recovered on a process goroutine, re-raised by Run
 }
 
-// Observer receives engine scheduling events. It exists for the
-// correctness harness (internal/check): a nil observer costs one
-// branch per schedule/dispatch, and observers must not mutate
-// simulation state.
+// Observer receives engine scheduling events for the correctness
+// harness (internal/check) and the observability layer (internal/obs).
+// Observers must not mutate simulation state.
 type Observer interface {
 	// EventScheduled fires for every Schedule/ScheduleAt call with the
 	// clamped target time (always >= Now at call time).
@@ -90,8 +89,19 @@ type Observer interface {
 	ClockAdvanced(now Time)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (e *Engine) SetObserver(obs Observer) { e.obs = obs }
+// AddObserver attaches o after the engine's other observers.
+func (e *Engine) AddObserver(o Observer) { e.obs = AppendObserver(e.obs, o) }
+
+// AppendObserver is the one attach rule of every layer: each keeps its
+// observers in a list, appends with this helper, and runs every hook
+// through the list in attach order, so any number of observers attach
+// side by side without knowing about each other. It panics on a nil o.
+func AppendObserver[T any](list []T, o T) []T {
+	if any(o) == nil {
+		panic(fmt.Sprintf("sim: nil observer added to %T", list))
+	}
+	return append(list, o)
+}
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -203,8 +213,8 @@ func (e *Engine) schedule(at Time, fn func(), p *Proc) {
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn, ev.p = at, e.seq, fn, p
-	if e.obs != nil {
-		e.obs.EventScheduled(at)
+	for _, o := range e.obs {
+		o.EventScheduled(at)
 	}
 	e.push(ev)
 }
@@ -225,8 +235,8 @@ func (e *Engine) next() *event {
 	}
 	if head.at != e.now || head.seq > e.batchSeq {
 		e.now, e.batchSeq = head.at, e.seq
-		if e.obs != nil {
-			e.obs.ClockAdvanced(e.now)
+		for _, o := range e.obs {
+			o.ClockAdvanced(e.now)
 		}
 	}
 	return e.pop()

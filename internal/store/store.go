@@ -247,7 +247,7 @@ type HostCache struct {
 	eng    *sim.Engine
 	remote *Remote
 	inj    *faults.Injector
-	obs    Observer
+	obs    []Observer
 
 	cached   map[uint64]*cacheEntry
 	lru      *list.List // front = coldest
@@ -271,8 +271,8 @@ func NewHostCache(eng *sim.Engine, remote *Remote, inj *faults.Injector) *HostCa
 	}
 }
 
-// SetObserver installs the event sink; nil disables events.
-func (hc *HostCache) SetObserver(o Observer) { hc.obs = o }
+// AddObserver attaches o after the cache's other observers.
+func (hc *HostCache) AddObserver(o Observer) { hc.obs = sim.AppendObserver(hc.obs, o) }
 
 // Stats returns the cache totals.
 func (hc *HostCache) Stats() CacheStats { return hc.stats }
@@ -305,8 +305,8 @@ func (hc *HostCache) Bind(m *Manifest, policy Policy, tags []uint64) *Binding {
 		hc.refs[c.ID]++
 	}
 	hc.stats.Manifests++
-	if hc.obs != nil {
-		hc.obs.StoreManifestRegistered(m.Fn, m)
+	for _, o := range hc.obs {
+		o.StoreManifestRegistered(m.Fn, m)
 	}
 	return b
 }
@@ -324,8 +324,8 @@ func (hc *HostCache) evict(e *cacheEntry) {
 	hc.lru.Remove(e.elem)
 	delete(hc.cached, e.id)
 	hc.stats.Evictions++
-	if hc.obs != nil {
-		hc.obs.StoreChunkEvicted(e.id)
+	for _, o := range hc.obs {
+		o.StoreChunkEvicted(e.id)
 	}
 }
 
@@ -342,8 +342,8 @@ func (hc *HostCache) ensure(p *sim.Proc, fn string, ref ChunkRef, contentOK bool
 				hc.stats.DedupHits++
 			}
 			hc.lru.MoveToBack(e.elem)
-			if hc.obs != nil {
-				hc.obs.StoreChunkHit(p, fn, ref.ID, dedup)
+			for _, o := range hc.obs {
+				o.StoreChunkHit(p, fn, ref.ID, dedup)
 			}
 			return
 		}
@@ -361,8 +361,8 @@ func (hc *HostCache) ensure(p *sim.Proc, fn string, ref ChunkRef, contentOK bool
 	hc.inflight[ref.ID] = done
 	hc.stats.Fetches++
 	hc.stats.FetchBytes += bytes
-	if hc.obs != nil {
-		hc.obs.StoreFetchBegin(p, fn, ref.ID, bytes)
+	for _, o := range hc.obs {
+		o.StoreFetchBegin(p, fn, ref.ID, bytes)
 	}
 	start := p.Now()
 
@@ -399,9 +399,11 @@ func (hc *HostCache) ensure(p *sim.Proc, fn string, ref ChunkRef, contentOK bool
 	done.Fire()
 	hc.stats.Retries += int64(retries)
 	hc.stats.Spikes += int64(spikes)
-	if hc.obs != nil {
-		hc.obs.StoreFetchEnd(p, fn, ref.ID, bytes, retries, spikes, p.Now().Sub(start))
-		hc.obs.StoreChunkVerified(fn, ref.ID, contentOK)
+	for _, o := range hc.obs {
+		o.StoreFetchEnd(p, fn, ref.ID, bytes, retries, spikes, p.Now().Sub(start))
+	}
+	for _, o := range hc.obs {
+		o.StoreChunkVerified(fn, ref.ID, contentOK)
 	}
 	if params.CapacityChunks > 0 {
 		for hc.lru.Len() > params.CapacityChunks {

@@ -35,24 +35,18 @@ type Host struct {
 	BPF    *ebpf.VM
 	CM     costmodel.Model
 
-	// OnRestore, when non-nil, is called at the end of every successful
-	// Restore. The correctness harness uses it to attach a KVM observer
-	// to each sandbox — including the ones schemes create internally
-	// during their record phases.
-	OnRestore func(*MicroVM)
-
-	obs Observer
+	obs    []Observer
+	kvmObs []kvm.Observer // attached to every sandbox's KVM on restore
 }
 
 // Observer receives sandbox lifecycle events for the observability
-// layer (internal/obs). Observers must not mutate VM or host state; a
-// nil observer costs one branch per event.
+// layer (internal/obs). Observers must not mutate VM or host state.
 type Observer interface {
 	// RestoreBegin fires at the start of Host.Restore, before the
 	// fixed restore cost is charged.
 	RestoreBegin(p *sim.Proc, name string)
-	// RestoreEnd fires at the end of a successful Restore (after any
-	// OnRestore hook ran).
+	// RestoreEnd fires at the end of a successful Restore, once the
+	// sandbox's KVM carries the host's KVM observers.
 	RestoreEnd(p *sim.Proc, vm *MicroVM)
 	// VMPrepared fires from MarkPrepared with the recorded
 	// preparation share.
@@ -63,8 +57,13 @@ type Observer interface {
 	InvokeEnd(p *sim.Proc, vm *MicroVM, st InvokeStats)
 }
 
-// SetObserver installs obs (nil disables observation).
-func (h *Host) SetObserver(obs Observer) { h.obs = obs }
+// AddObserver attaches o after the host's other lifecycle observers.
+func (h *Host) AddObserver(o Observer) { h.obs = sim.AppendObserver(h.obs, o) }
+
+// AddKVMObserver attaches o to the KVM of every sandbox restored from
+// now on, including the ones schemes create internally during their
+// record phases.
+func (h *Host) AddKVMObserver(o kvm.Observer) { h.kvmObs = sim.AppendObserver(h.kvmObs, o) }
 
 // NewHost assembles a host around the given device parameters on its
 // own private simulation engine.
@@ -185,8 +184,8 @@ func (h *Host) Restore(p *sim.Proc, name string, fn workload.Function,
 	if img.NrPages != fn.MemPages() {
 		return nil, fmt.Errorf("vmm: image has %d pages but %s needs %d", img.NrPages, fn.Name, fn.MemPages())
 	}
-	if h.obs != nil {
-		h.obs.RestoreBegin(p, name)
+	for _, o := range h.obs {
+		o.RestoreBegin(p, name)
 	}
 	start := p.Now()
 	p.Sleep(h.CM.VMRestoreBase)
@@ -210,11 +209,11 @@ func (h *Host) Restore(p *sim.Proc, name string, fn workload.Function,
 	}
 	vm.KVM = kvm.New(g, as, 0, h.CM)
 	vm.KVM.ForceWriteMapping = cfg.ForceWriteMapping
-	if h.OnRestore != nil {
-		h.OnRestore(vm)
+	for _, o := range h.kvmObs {
+		vm.KVM.AddObserver(o)
 	}
-	if h.obs != nil {
-		h.obs.RestoreEnd(p, vm)
+	for _, o := range h.obs {
+		o.RestoreEnd(p, vm)
 	}
 	return vm, nil
 }
@@ -229,8 +228,8 @@ func (vm *MicroVM) MapSnapshotDefault(p *sim.Proc) *hostmm.VMA {
 // once PrepareVM work is done.
 func (vm *MicroVM) MarkPrepared(p *sim.Proc) {
 	vm.stats.Prepare = p.Now().Sub(vm.started) - vm.Host.CM.VMRestoreBase
-	if vm.Host.obs != nil {
-		vm.Host.obs.VMPrepared(p, vm, vm.stats.Prepare)
+	for _, o := range vm.Host.obs {
+		o.VMPrepared(p, vm, vm.stats.Prepare)
 	}
 }
 
@@ -241,8 +240,8 @@ func (vm *MicroVM) Invoke(p *sim.Proc, tr *trace.Trace) (InvokeStats, error) {
 		return InvokeStats{}, fmt.Errorf("vmm: %s: invoke before restore", vm.Name)
 	}
 	vm.restored = false
-	if vm.Host.obs != nil {
-		vm.Host.obs.InvokeBegin(p, vm)
+	for _, o := range vm.Host.obs {
+		o.InvokeBegin(p, vm)
 	}
 	execStart := p.Now()
 
@@ -283,8 +282,8 @@ func (vm *MicroVM) Invoke(p *sim.Proc, tr *trace.Trace) (InvokeStats, error) {
 	vm.stats.E2E = end.Sub(vm.started)
 	vm.stats.KVM = vm.KVM.Stats()
 	vm.stats.Host = vm.AS.Stats()
-	if vm.Host.obs != nil {
-		vm.Host.obs.InvokeEnd(p, vm, vm.stats)
+	for _, o := range vm.Host.obs {
+		o.InvokeEnd(p, vm, vm.stats)
 	}
 	return vm.stats, nil
 }
