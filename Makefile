@@ -56,14 +56,13 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One testing.B per paper table/figure + ablations; see bench_test.go
-# for the SNAPBPF_BENCH_* environment knobs.
+# Every package's microbenchmarks, one iteration each. The end-to-end
+# ledger over both clocks is bench/ (bash bench/run.sh).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # Machine-readable microbenchmark snapshot (ns/op, allocs/op per hot
-# path, plus experiment wall-clock from results/timing.json if fresh),
-# stamped with git state. See scripts/bench_json.sh.
+# path), stamped with git state. See scripts/bench_json.sh.
 bench-json:
 	./scripts/bench_json.sh results/bench.json
 
@@ -71,7 +70,7 @@ bench-json:
 # verify the paper's claims, and write CSV + a markdown report.
 # Cells run on one worker per CPU; add e.g. `-parallel 1` for serial.
 repro:
-	$(GO) run ./cmd/snapbpf-bench -verify -csv results -report results/report.md -timing results/timing.json
+	$(GO) run ./cmd/snapbpf-bench -verify -csv results -report results/report.md
 
 examples:
 	$(GO) run ./examples/quickstart

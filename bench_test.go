@@ -1,260 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus the ablations. Each benchmark runs its experiment
-// end to end (record phase + measured invocations on a fresh
-// simulated host) and reports the headline figures as custom metrics.
-//
-// By default the benchmarks run on a three-function slice of the
-// suite (json, image, bert — small, allocation-heavy and
-// large-working-set representatives) so `go test -bench=.` finishes
-// in minutes. Environment overrides:
-//
-//	SNAPBPF_BENCH_FULL=1          use the full 15-function suite
-//	SNAPBPF_BENCH_FUNCS=a,b,c     use an explicit list
-//	SNAPBPF_BENCH_PRINT=1         print each regenerated table
-//	SNAPBPF_BENCH_PARALLEL=n      cell workers (default one per CPU)
+// Benchmarks of the observability layer's cost on one cell. Wall-clock
+// per experiment is printed by snapbpf-bench itself, and the
+// end-to-end ledger over both clocks is the bench/ module.
 package snapbpf
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
-
-func benchFunctions(b *testing.B) []Function {
-	if os.Getenv("SNAPBPF_BENCH_FULL") != "" {
-		return Functions()
-	}
-	names := []string{"json", "image", "bert"}
-	if env := os.Getenv("SNAPBPF_BENCH_FUNCS"); env != "" {
-		names = strings.Split(env, ",")
-	}
-	var out []Function
-	for _, n := range names {
-		fn, err := FunctionByName(strings.TrimSpace(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, fn)
-	}
-	return out
-}
-
-// runExperiment executes the experiment once per benchmark iteration
-// and optionally prints the regenerated table.
-func runExperiment(b *testing.B, id string) *Table {
-	b.Helper()
-	var exp Experiment
-	for _, e := range Experiments() {
-		if e.ID == id {
-			exp = e
-		}
-	}
-	if exp.ID == "" {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	opts := ExperimentOptions{Functions: benchFunctions(b)}
-	if env := os.Getenv("SNAPBPF_BENCH_PARALLEL"); env != "" {
-		n, err := ParseParallel(env)
-		if err != nil {
-			b.Fatalf("SNAPBPF_BENCH_PARALLEL: %v", err)
-		}
-		opts.Parallel = n
-	}
-	var tbl *Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = exp.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if os.Getenv("SNAPBPF_BENCH_PRINT") != "" {
-		fmt.Println(tbl.Render())
-	}
-	return tbl
-}
-
-// lastColMean averages the numeric suffix column of a table, used to
-// surface a headline metric per benchmark.
-func lastColMean(tbl *Table, col int) float64 {
-	var sum float64
-	var n int
-	for _, row := range tbl.Rows {
-		cell := strings.TrimSuffix(row[col], "x")
-		cell = strings.TrimSuffix(cell, "%")
-		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			continue
-		}
-		sum += v
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// BenchmarkTable1 regenerates Table 1 (the qualitative comparison).
-func BenchmarkTable1(b *testing.B) {
-	tbl := runExperiment(b, "table1")
-	if len(tbl.Rows) != 4 {
-		b.Fatalf("table1 rows = %d", len(tbl.Rows))
-	}
-}
-
-// BenchmarkFig3a regenerates Figure 3a: single-instance E2E latency,
-// REAP vs FaaSnap vs SnapBPF. Reported metric: mean REAP latency
-// normalized to SnapBPF.
-func BenchmarkFig3a(b *testing.B) {
-	tbl := runExperiment(b, "fig3a")
-	b.ReportMetric(lastColMean(tbl, 1), "REAP/SnapBPF")
-	b.ReportMetric(lastColMean(tbl, 2), "FaaSnap/SnapBPF")
-}
-
-// BenchmarkFig3b regenerates Figure 3b: 10-concurrent-instance E2E
-// latency. Reported metric: mean REAP/SnapBPF speedup (the paper's
-// headline 8x for bert).
-func BenchmarkFig3b(b *testing.B) {
-	tbl := runExperiment(b, "fig3b")
-	b.ReportMetric(lastColMean(tbl, 5), "REAP/SnapBPF")
-}
-
-// BenchmarkFig3c regenerates Figure 3c: 10-concurrent-instance memory
-// consumption. Reported metric: mean REAP/SnapBPF memory reduction
-// (the paper's up-to-6x).
-func BenchmarkFig3c(b *testing.B) {
-	tbl := runExperiment(b, "fig3c")
-	b.ReportMetric(lastColMean(tbl, 5), "REAP/SnapBPF-mem")
-}
-
-// BenchmarkFig4 regenerates Figure 4: the PV-PTE / eBPF-prefetch
-// breakdown. Reported metrics: mean normalized latencies vs Linux-RA.
-func BenchmarkFig4(b *testing.B) {
-	tbl := runExperiment(b, "fig4")
-	b.ReportMetric(lastColMean(tbl, 2), "PVPTEs/Linux-RA")
-	b.ReportMetric(lastColMean(tbl, 3), "SnapBPF/Linux-RA")
-}
-
-// BenchmarkOverheads regenerates the §4 offset-loading overhead
-// measurement. Reported metric: mean load share of E2E in percent
-// (the paper's <1%).
-func BenchmarkOverheads(b *testing.B) {
-	tbl := runExperiment(b, "overheads")
-	b.ReportMetric(lastColMean(tbl, 4), "load-pct-of-E2E")
-}
-
-// BenchmarkAblationGrouping measures §3.1's contiguous-range grouping
-// against per-page prefetch requests.
-func BenchmarkAblationGrouping(b *testing.B) {
-	runExperiment(b, "ablation-grouping")
-}
-
-// BenchmarkAblationSort measures §3.1's earliest-access ordering
-// against file-offset ordering.
-func BenchmarkAblationSort(b *testing.B) {
-	runExperiment(b, "ablation-sort")
-}
-
-// BenchmarkAblationCoW measures the §4 KVM CoW patch's effect on
-// 10-instance memory.
-func BenchmarkAblationCoW(b *testing.B) {
-	tbl := runExperiment(b, "ablation-cow")
-	b.ReportMetric(lastColMean(tbl, 3), "unpatched-mem-inflation")
-}
-
-// BenchmarkAblationCoalesce sweeps FaaSnap's coalescing gap (§2.1
-// I/O amplification).
-func BenchmarkAblationCoalesce(b *testing.B) {
-	runExperiment(b, "ablation-coalesce")
-}
-
-// BenchmarkAblationDirectIO compares REAP's direct vs buffered
-// working-set I/O (§2.1).
-func BenchmarkAblationDirectIO(b *testing.B) {
-	runExperiment(b, "ablation-directio")
-}
-
-// BenchmarkAblationRAWindow sweeps the Linux readahead window.
-func BenchmarkAblationRAWindow(b *testing.B) {
-	runExperiment(b, "ablation-rawindow")
-}
-
-// BenchmarkAblationDrift perturbs the guest allocator between record
-// and invocation (§2.2 working-set drift).
-func BenchmarkAblationDrift(b *testing.B) {
-	runExperiment(b, "ablation-drift")
-}
-
-// BenchmarkAblationHDD reruns the comparison on spindle storage,
-// probing the paper's SSD premise (§3.1).
-func BenchmarkAblationHDD(b *testing.B) {
-	runExperiment(b, "ablation-hdd")
-}
-
-// runExperimentSmall is runExperiment restricted to one small function
-// by default — the extension sweeps multiply cells (variance levels,
-// concurrency levels) and would otherwise dominate the bench run.
-func runExperimentSmall(b *testing.B, id string) *Table {
-	b.Helper()
-	if os.Getenv("SNAPBPF_BENCH_FULL") == "" && os.Getenv("SNAPBPF_BENCH_FUNCS") == "" {
-		os.Setenv("SNAPBPF_BENCH_FUNCS", "json")
-		defer os.Unsetenv("SNAPBPF_BENCH_FUNCS")
-	}
-	return runExperiment(b, id)
-}
-
-// BenchmarkExtVaryingInputs sweeps input variance (the paper's
-// deferred dedup-under-varying-inputs study).
-func BenchmarkExtVaryingInputs(b *testing.B) {
-	runExperimentSmall(b, "ext-varying-inputs")
-}
-
-// BenchmarkExtConcurrency sweeps the sandbox count from 1 to 40.
-func BenchmarkExtConcurrency(b *testing.B) {
-	runExperimentSmall(b, "ext-concurrency")
-}
-
-// BenchmarkExtCostAnalysis measures SnapBPF's computational and
-// memory costs (the paper's deferred cost analysis).
-func BenchmarkExtCostAnalysis(b *testing.B) {
-	runExperimentSmall(b, "ext-cost-analysis")
-}
-
-// BenchmarkExtColocation runs the multi-function co-location scenario.
-func BenchmarkExtColocation(b *testing.B) {
-	tbl := runExperiment(b, "ext-colocation")
-	if len(tbl.Rows) != 2 {
-		b.Fatalf("colocation rows = %d", len(tbl.Rows))
-	}
-}
-
-// BenchmarkExtDevices sweeps HDD / SATA SSD / NVMe storage profiles.
-func BenchmarkExtDevices(b *testing.B) {
-	runExperimentSmall(b, "ext-devices")
-}
-
-// BenchmarkExtSnapshotCreation measures the boot+init+serialize
-// lifecycle that produces each function's snapshot.
-func BenchmarkExtSnapshotCreation(b *testing.B) {
-	runExperiment(b, "ext-snapshot-creation")
-}
-
-// BenchmarkExtCachePressure bounds the page cache and measures the
-// dedup-vs-reclaim crossover.
-func BenchmarkExtCachePressure(b *testing.B) {
-	runExperimentSmall(b, "ext-cache-pressure")
-}
-
-// BenchmarkExtSteadyState measures repeated cold-start waves against
-// a warming page cache.
-func BenchmarkExtSteadyState(b *testing.B) {
-	runExperimentSmall(b, "ext-steady-state")
-}
+import "testing"
 
 // runObsCell runs one json/SnapBPF cell per iteration under the given
 // observability config. BenchmarkObsDisabled is the baseline the

@@ -81,3 +81,26 @@ func TestKeepaliveFlagValidation(t *testing.T) {
 		t.Error("unknown router silently accepted")
 	}
 }
+
+// TestFuncsFlagRejectsDuplicates pins the -funcs contract: an empty
+// list is the full suite, an unknown name fails, and a name listed
+// twice fails and is named in the error instead of registering two
+// snapshots under one file name and folding their rows.
+func TestFuncsFlagRejectsDuplicates(t *testing.T) {
+	if fns, err := parseFuncsFlag(""); err != nil || fns != nil {
+		t.Errorf(`parseFuncsFlag("") = %v, %v; want the nil (full suite) list`, fns, err)
+	}
+	fns, err := parseFuncsFlag("json, image")
+	if err != nil || len(fns) != 2 || fns[0].Name != "json" || fns[1].Name != "image" {
+		t.Errorf("parseFuncsFlag(json, image) = %v, %v", fns, err)
+	}
+	for _, spec := range []string{"json,json", "json,image, json"} {
+		_, err := parseFuncsFlag(spec)
+		if err == nil || !strings.Contains(err.Error(), `"json"`) {
+			t.Errorf("parseFuncsFlag(%q) error %v does not name the repeated function", spec, err)
+		}
+	}
+	if _, err := parseFuncsFlag("json,bogus"); err == nil {
+		t.Error("unknown function silently accepted")
+	}
+}

@@ -9,7 +9,6 @@
 //	snapbpf-bench -funcs json,bert     # restrict the workload suite
 //	snapbpf-bench -csv out/            # also write CSV per experiment
 //	snapbpf-bench -parallel 4          # 4 workers (0 = one per CPU)
-//	snapbpf-bench -timing t.json       # write wall-clock timings as JSON
 //	snapbpf-bench -faults heavy        # inject storage faults everywhere
 //	snapbpf-bench -fault-seed 7        # reseed the injection streams
 //	snapbpf-bench -check               # arm the invariant-checking harness
@@ -26,12 +25,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -58,7 +54,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
 		parallel   = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
-		timing     = flag.String("timing", "", "write per-experiment wall-clock timings to this JSON file")
 		faultsLvl  = flag.String("faults", "none", "fault injection level for every experiment: none, light, heavy")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault-injection streams (same seed = byte-identical run)")
 		checkInv   = flag.Bool("check", false, "arm the invariant-checking harness on every cell (fails on violations)")
@@ -161,14 +156,8 @@ func main() {
 			obsCells = append(obsCells, obsCell{name: full, rep: rep})
 		}
 	}
-	if *fnFlag != "" {
-		for _, name := range strings.Split(*fnFlag, ",") {
-			fn, err := workload.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			opts.Functions = append(opts.Functions, fn)
-		}
+	if opts.Functions, err = parseFuncsFlag(*fnFlag); err != nil {
+		fatal(err)
 	}
 
 	if *csvDir != "" {
@@ -179,7 +168,6 @@ func main() {
 
 	tables := make(map[string]*experiments.Table)
 	var order []string
-	var timings []expTiming
 	suiteStart := time.Now()
 	for _, e := range all {
 		if want != nil && !want[e.ID] {
@@ -202,16 +190,9 @@ func main() {
 		}
 		tables[e.ID] = tbl
 		order = append(order, e.ID)
-		timings = append(timings, expTiming{ID: e.ID, Seconds: elapsed.Seconds()})
 	}
 	total := time.Since(suiteStart)
 	fmt.Fprintf(os.Stderr, "[total wall-clock %v, %d workers]\n", total.Round(time.Millisecond), workers(*parallel))
-	if *timing != "" {
-		if err := writeTiming(*timing, *parallel, timings, total, os.Stderr); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "timings written to", *timing)
-	}
 	if *traceOut != "" || *metricsJS != "" {
 		reportTraceDrops(obsCells)
 	}
@@ -295,6 +276,30 @@ func parseExpFlag(spec string, known []string) (map[string]bool, error) {
 	return want, nil
 }
 
+// parseFuncsFlag resolves -funcs: empty means the full suite (nil),
+// otherwise each comma-separated name must be a suite function named
+// once. A repeated name would register two snapshots under one file
+// name and fold their rows, so it is an error that names it.
+func parseFuncsFlag(spec string) ([]workload.Function, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var fns []workload.Function
+	seen := make(map[string]bool)
+	for _, name := range strings.Split(spec, ",") {
+		fn, err := workload.ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		if seen[fn.Name] {
+			return nil, fmt.Errorf("-funcs: function %q listed twice", fn.Name)
+		}
+		seen[fn.Name] = true
+		fns = append(fns, fn)
+	}
+	return fns, nil
+}
+
 // clusterParams builds the cluster experiment's overrides from -hosts,
 // -router and -keepalive, or nil when all three keep their defaults.
 // -keepalive -1 means the default sweep; any other negative budget is
@@ -367,86 +372,12 @@ func renderReport(order []string, tables map[string]*experiments.Table) string {
 	return sb.String()
 }
 
-// expTiming is one experiment's wall-clock time in the timing report.
-type expTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-// timingReport is the -timing JSON document. GitState and Workers
-// stamp where the numbers came from: rows measured under a different
-// source tree or pool width are not comparable, so merging across
-// differing stamps is refused.
-type timingReport struct {
-	GitState     string      `json:"git_state"`
-	Workers      int         `json:"workers"`
-	GOMAXPROCS   int         `json:"gomaxprocs"`
-	TotalSeconds float64     `json:"total_seconds"`
-	Experiments  []expTiming `json:"experiments"`
-}
-
 // workers resolves the -parallel flag the same way the pool does.
 func workers(parallel int) int {
 	if parallel > 0 {
 		return parallel
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// gitState describes the working tree as "<short-hash>" or
-// "<short-hash>-dirty", or "unknown" outside a git checkout.
-func gitState() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	state := strings.TrimSpace(string(out))
-	if err := exec.Command("git", "diff", "--quiet", "HEAD").Run(); err != nil {
-		state += "-dirty"
-	}
-	return state
-}
-
-// writeTiming writes the wall-clock timing report as indented JSON.
-// When path already holds a report with the same git state and pool
-// width, experiments not re-run this time are carried over, so a
-// partial `-exp` run refreshes rows instead of clobbering the file;
-// a stamp mismatch discards the old rows (merging timings measured on
-// different code or configurations would silently mix regimes), with a
-// note on diag.
-func writeTiming(path string, parallel int, timings []expTiming, total time.Duration, diag io.Writer) error {
-	doc := timingReport{
-		GitState:     gitState(),
-		Workers:      workers(parallel),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		TotalSeconds: total.Seconds(),
-		Experiments:  timings,
-	}
-	if old, err := os.ReadFile(path); err == nil {
-		var prev timingReport
-		if json.Unmarshal(old, &prev) == nil {
-			if prev.GitState == doc.GitState && prev.Workers == doc.Workers {
-				ran := make(map[string]bool, len(timings))
-				for _, t := range timings {
-					ran[t.ID] = true
-				}
-				for _, t := range prev.Experiments {
-					if !ran[t.ID] {
-						doc.Experiments = append(doc.Experiments, t)
-					}
-				}
-			} else if len(prev.Experiments) > 0 {
-				fmt.Fprintf(diag,
-					"timing: discarding stale rows from %s (stamp %s/%d workers != %s/%d workers)\n",
-					path, prev.GitState, prev.Workers, doc.GitState, doc.Workers)
-			}
-		}
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // obsCell is one collected cell's observability report.

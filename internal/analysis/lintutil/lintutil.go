@@ -31,6 +31,7 @@ var deterministicRoots = map[string]bool{
 	"calib":     true,
 	"cluster":   true,
 	"store":     true,
+	"testbed":   true,
 }
 
 // DeterministicPkg reports whether the import path is bound by the

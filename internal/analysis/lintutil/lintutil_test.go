@@ -16,6 +16,7 @@ func TestDeterministicPkg(t *testing.T) {
 		{"snapbpf/internal/cluster_test", true},
 		{"snapbpf/internal/check", true},
 		{"snapbpf/internal/calib", true},
+		{"snapbpf/internal/testbed", true},
 		{"snapbpf/internal/experiments", false},
 		{"snapbpf/internal/units", false},
 		{"snapbpf", false},

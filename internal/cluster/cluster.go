@@ -21,26 +21,18 @@ import (
 	"time"
 
 	"snapbpf/internal/blockdev"
-	"snapbpf/internal/check"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
-	"snapbpf/internal/pagecache"
-	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
-	"snapbpf/internal/snapshot"
 	"snapbpf/internal/store"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/units"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
 
-// Scheme is a named prefetcher factory, mirroring the experiments
-// harness's type (redeclared here so cluster does not import the
-// harness that drives it).
-type Scheme struct {
-	Name string
-	New  func() prefetch.Prefetcher
-}
+// Scheme is a named prefetcher factory.
+type Scheme = testbed.Scheme
 
 // Config describes one cluster run.
 type Config struct {
@@ -103,29 +95,19 @@ type Config struct {
 	Store *store.Setup
 }
 
-// hostFn is one (host, function) serving context: the prefetcher and
-// artifacts built during that host's record phase.
+// hostFn is one (host, function) serving context: the function staged
+// on that host, and the pure compute time of one invocation — all a
+// warm hit costs.
 type hostFn struct {
-	fn       workload.Function
-	pf       prefetch.Prefetcher
-	env      *prefetch.Env
-	img      *snapshot.MemoryImage
-	inode    *pagecache.Inode
-	bind     *store.Binding // nil when the snapshot is on local SSD
-	warmExec time.Duration  // pure compute time of one invocation
+	*testbed.Fn
+	warmExec time.Duration
 }
 
 // host is one machine of the region.
 type host struct {
-	idx   int
-	name  string
-	h     *vmm.Host
-	inj   *faults.Injector
-	chk   *check.Checker
-	rec   *obs.Recorder
-	cache *store.HostCache // nil when the snapshot is on local SSD
-	fns   map[string]*hostFn
-	pool  warmPool
+	*testbed.Host
+	fns  map[string]*hostFn
+	pool warmPool
 
 	active      int // in-flight invocations (router load signal)
 	cold, warm  int
@@ -258,12 +240,11 @@ func Run(cfg Config) (*Result, error) {
 	// --- Build the region: N hosts on one engine ---
 	eng := sim.NewEngine()
 	hosts := make([]*host, cfg.Hosts)
+	armed := make([]*testbed.Host, cfg.Hosts)
+	// One remote per region, built with the first host: per-chunk
+	// duplicate accounting across hosts is exactly the cross-host dedup
+	// the report surfaces.
 	var remote *store.Remote
-	if cfg.Store != nil && cfg.Store.Tier != store.TierLocal {
-		// One remote per region: per-chunk duplicate accounting across
-		// hosts is exactly the cross-host dedup the report surfaces.
-		remote = store.NewRemote(cfg.Store.Params)
-	}
 	// Every host's checker and recorder attach to the one shared engine,
 	// so each sees the region-wide clock stream (per-host sim-event
 	// counters are therefore region-global; DESIGN.md §13).
@@ -272,104 +253,22 @@ func Run(cfg Config) (*Result, error) {
 		if len(cfg.HostNames) > 0 {
 			name = cfg.HostNames[i]
 		}
-		hv := vmm.NewHostOnEngine(eng, cfg.Device)
-		ho := &host{idx: i, name: name, h: hv, fns: make(map[string]*hostFn, len(fnNames))}
-		if p := hostPlan(&cfg, i); p != nil {
-			ho.inj = faults.NewInjector(*p)
-		}
-		hv.Dev.SetFaults(ho.inj)
-		var schemeObs []prefetch.Observer
-		if cfg.Check {
-			ho.chk = check.New(hv, ho.inj)
-			schemeObs = append(schemeObs, ho.chk)
-		}
-		if cfg.Obs.Enabled() {
-			ho.rec = obs.Attach(hv, *cfg.Obs)
-			schemeObs = append(schemeObs, ho.rec)
-		}
-		if remote != nil {
-			ho.cache = store.NewHostCache(eng, remote, ho.inj)
-			if ho.chk != nil {
-				ho.chk.AttachStore(ho.cache)
-			}
-			if ho.rec != nil {
-				ho.cache.AddObserver(ho.rec)
-			}
-		}
+		tb := testbed.Arm(vmm.NewHostOnEngine(eng, cfg.Device), name, testbed.Arming{
+			Faults: hostPlan(&cfg, i), Check: cfg.Check, Obs: cfg.Obs,
+			Store: cfg.Store, Remote: remote,
+		})
+		remote = tb.Remote
+		ho := &host{Host: tb, fns: make(map[string]*hostFn, len(fnNames))}
 		for _, fname := range fnNames {
-			fn := fnByName[fname]
-			pf := cfg.Scheme.New()
-			img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-			inode := hv.RegisterSnapshot(name+"/"+fn.Name+".snapmem", img)
-			if ho.chk != nil {
-				ho.chk.RegisterFileTags(inode, img.PageTags)
-			}
-			env := &prefetch.Env{
-				Host:        hv,
-				Fn:          fn,
-				Image:       img,
-				SnapInode:   inode,
-				RecordTrace: fn.GenTrace(),
-				InvokeTrace: fn.GenTrace(),
-				Faults:      ho.inj,
-				Observers:   schemeObs,
-			}
-			var bind *store.Binding
-			if ho.cache != nil {
-				man := store.BuildManifest(fn.Name, img.PageTags, remote.Params().ChunkPages)
-				bind = ho.cache.Bind(man, cfg.Store.Policy, img.PageTags)
-				inode.SetStager(bind)
-				env.ChunkPlan = bind.Plan
-			}
-			ho.fns[fname] = &hostFn{
-				fn: fn, pf: pf, env: env, img: img, inode: inode, bind: bind,
-				warmExec: env.InvokeTrace.Summarize().TotalCompute,
-			}
+			f := tb.Stage(fnByName[fname], cfg.Scheme)
+			ho.fns[fname] = &hostFn{Fn: f, warmExec: f.Env.InvokeTrace.Summarize().TotalCompute}
 		}
-		hosts[i] = ho
+		hosts[i], armed[i] = ho, tb
 	}
 
 	// --- Record phase: sequential per (host index, sorted function) ---
-	var recErr error
-	eng.Go("record", func(p *sim.Proc) {
-		for _, ho := range hosts {
-			for _, fname := range fnNames {
-				hf := ho.fns[fname]
-				if err := hf.pf.Record(p, hf.env); err != nil {
-					recErr = fmt.Errorf("record %s/%s: %w", ho.name, fname, err)
-					return
-				}
-			}
-		}
-	})
-	eng.Run()
-	if recErr != nil {
-		return nil, recErr
-	}
-	for _, ho := range hosts {
-		ho.h.Cache.DropCaches()
-		ho.h.Dev.ResetStats()
-		ho.h.Cache.SetMemLimit(cfg.CacheLimitPages)
-	}
-	if remote != nil {
-		switch cfg.Store.Tier {
-		case store.TierCold:
-			for _, ho := range hosts {
-				ho.cache.Drop()
-			}
-		case store.TierWarm:
-			// Preload every host's chunk cache through the normal fetch
-			// path, one proc per host, drained before dispatch begins.
-			for _, ho := range hosts {
-				ho := ho
-				eng.Go(ho.name+"/store-preload", func(p *sim.Proc) {
-					for _, fname := range fnNames {
-						ho.fns[fname].bind.Preload(p)
-					}
-				})
-			}
-			eng.Run()
-		}
+	if err := testbed.Record(cfg.CacheLimitPages, armed...); err != nil {
+		return nil, err
 	}
 
 	// --- Invocation phase: front end dispatches the arrival stream ---
@@ -425,34 +324,32 @@ func Run(cfg Config) (*Result, error) {
 
 	// --- Teardown and reporting, host-index order throughout ---
 	res := st.res
+	var finishErr error
 	for _, ho := range hosts {
 		res.Cold += ho.cold
 		res.Warm += ho.warm
 		hs := HostStats{
-			Name:           ho.name,
+			Name:           ho.Name,
 			Cold:           ho.cold,
 			Warm:           ho.warm,
-			SystemMemory:   units.PagesToBytes(ho.h.MM.SystemMemoryPages()),
-			DeviceBytes:    ho.h.Dev.Stats().BytesRead,
-			DeviceRequests: ho.h.Dev.Stats().Requests,
-			Evictions:      ho.h.Cache.Evictions(),
+			SystemMemory:   units.PagesToBytes(ho.MM.SystemMemoryPages()),
+			DeviceBytes:    ho.Dev.Stats().BytesRead,
+			DeviceRequests: ho.Dev.Stats().Requests,
+			Evictions:      ho.Cache.Evictions(),
 			WarmEvicted:    ho.warmEvicted,
-			Faults:         ho.inj.Report(),
+			Faults:         ho.Inj.Report(),
 		}
 		// Drain the warm pool before checker quiescence: parked
 		// sandboxes hold address spaces the checker expects released.
 		for _, v := range ho.pool.drain() {
 			v.vm.Shutdown()
 		}
-		if ho.rec != nil {
-			hs.Obs = ho.rec.Finish()
+		var err error
+		if hs.Obs, hs.CheckCounts, err = ho.Finish(); err != nil && finishErr == nil {
+			finishErr = fmt.Errorf("check %s: %w", ho.Name, err)
 		}
-		if ho.chk != nil {
-			cc := ho.chk.Counts()
-			hs.CheckCounts = &cc
-		}
-		if ho.cache != nil {
-			cs := ho.cache.Stats()
+		if ho.Chunks != nil {
+			cs := ho.Chunks.Stats()
 			hs.Store = &cs
 		}
 		res.Hosts = append(res.Hosts, hs)
@@ -465,11 +362,9 @@ func Run(cfg Config) (*Result, error) {
 		if err := checkDigests(res); err != nil {
 			return nil, err
 		}
-		for _, ho := range hosts {
-			if err := ho.chk.Finish(); err != nil {
-				return nil, fmt.Errorf("check %s: %w", ho.name, err)
-			}
-		}
+	}
+	if finishErr != nil {
+		return nil, finishErr
 	}
 	return res, nil
 }
@@ -490,36 +385,16 @@ func (st *runState) serve(p *sim.Proc, ho *host, inv *Invocation) {
 		st.park(ho, v, p.Now())
 	} else {
 		ho.cold++
-		vm, err := ho.h.Restore(p, fmt.Sprintf("%s/%s/%d", ho.name, inv.Tenant, inv.Seq),
-			hf.fn, hf.img, hf.inode, hf.pf.RestoreConfig(0))
+		sb, err := ho.ColdStart(p, hf.Fn, fmt.Sprintf("%s/%s/%d", ho.Name, inv.Tenant, inv.Seq),
+			0, hf.Env.InvokeTrace)
 		if err != nil {
 			st.fail(inv.Seq, err)
 			ho.active--
 			return
 		}
-		if hf.bind != nil {
-			hf.bind.BeginRestore(p)
-		}
-		if err := hf.pf.PrepareVM(p, hf.env, vm); err != nil {
-			st.fail(inv.Seq, err)
-			ho.active--
-			return
-		}
-		vm.MarkPrepared(p)
-		stt, err := vm.Invoke(p, hf.env.InvokeTrace)
-		if err != nil {
-			st.fail(inv.Seq, err)
-			ho.active--
-			return
-		}
-		inv.E2E = stt.E2E
-		hf.pf.FinishVM(hf.env, vm)
-		if ho.chk != nil {
-			// Digest before any teardown: the shadow page table is
-			// consumed with the address space.
-			inv.Digest = ho.chk.VMDone(vm)
-		}
-		st.parkOrShutdown(ho, &warmVM{vm: vm, fn: inv.Fn}, p.Now())
+		inv.E2E = sb.Stats.E2E
+		inv.Digest = sb.Digest
+		st.parkOrShutdown(ho, &warmVM{vm: sb.VM, fn: inv.Fn}, p.Now())
 	}
 	inv.Done = p.Now().Sub(st.start)
 	ho.active--

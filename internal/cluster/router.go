@@ -91,7 +91,7 @@ func (affinity) pick(hosts []*host, fn string) int {
 	// index; among equal residency the less loaded host wins.
 	var bestRes int64
 	for i, h := range hosts {
-		res := h.fns[fn].inode.ResidentPages()
+		res := h.fns[fn].Env.SnapInode.ResidentPages()
 		if res == 0 {
 			continue
 		}

@@ -20,8 +20,8 @@ import (
 // number of block requests the kernel issues to storage by grouping
 // the pages into contiguous ranges, to reduce SW overhead").
 func AblationGrouping(o Options) (*Table, error) {
-	grouped := Scheme{"SnapBPF", func() prefetch.Prefetcher { return core.New() }}
-	perPage := Scheme{"SnapBPF-per-page", func() prefetch.Prefetcher {
+	grouped := Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher { return core.New() }}
+	perPage := Scheme{Name: "SnapBPF-per-page", New: func() prefetch.Prefetcher {
 		s := core.New()
 		s.DisableGrouping = true
 		s.SetName("SnapBPF-per-page")
@@ -51,8 +51,8 @@ func AblationGrouping(o Options) (*Table, error) {
 // AblationSort quantifies §3.1's earliest-access group ordering
 // against plain file-offset order.
 func AblationSort(o Options) (*Table, error) {
-	sorted := Scheme{"SnapBPF", func() prefetch.Prefetcher { return core.New() }}
-	offset := Scheme{"SnapBPF-offset-order", func() prefetch.Prefetcher {
+	sorted := Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher { return core.New() }}
+	offset := Scheme{Name: "SnapBPF-offset-order", New: func() prefetch.Prefetcher {
 		s := core.New()
 		s.OffsetOrder = true
 		s.SetName("SnapBPF-offset-order")
@@ -80,8 +80,8 @@ func AblationSort(o Options) (*Table, error) {
 // forcibly write-maps read nested faults, CoWing page-cache pages and
 // destroying deduplication.
 func AblationCoW(o Options) (*Table, error) {
-	patched := Scheme{"SnapBPF", func() prefetch.Prefetcher { return core.New() }}
-	unpatched := Scheme{"SnapBPF-unpatched-KVM", func() prefetch.Prefetcher {
+	patched := Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher { return core.New() }}
+	unpatched := Scheme{Name: "SnapBPF-unpatched-KVM", New: func() prefetch.Prefetcher {
 		s := core.New()
 		s.UnpatchedKVM = true
 		s.SetName("SnapBPF-unpatched-KVM")
@@ -136,7 +136,7 @@ func AblationCoalesce(o Options) (*Table, error) {
 	cells := make([]Cell, len(items))
 	for idx, it := range items {
 		idx, gap := idx, it.gap
-		cells[idx] = Cell{Fn: it.fn, Scheme: Scheme{"FaaSnap", func() prefetch.Prefetcher {
+		cells[idx] = Cell{Fn: it.fn, Scheme: Scheme{Name: "FaaSnap", New: func() prefetch.Prefetcher {
 			f := faasnap.New()
 			f.CoalesceGap = gap
 			pfs[idx] = f
@@ -165,8 +165,8 @@ func AblationCoalesce(o Options) (*Table, error) {
 // the snapshot from storage, to bypass the page cache and avoid the
 // overhead of intermediate memory copies").
 func AblationDirectIO(o Options) (*Table, error) {
-	direct := Scheme{"REAP", func() prefetch.Prefetcher { return reap.New() }}
-	buffered := Scheme{"REAP-buffered", func() prefetch.Prefetcher {
+	direct := Scheme{Name: "REAP", New: func() prefetch.Prefetcher { return reap.New() }}
+	buffered := Scheme{Name: "REAP-buffered", New: func() prefetch.Prefetcher {
 		r := reap.New()
 		r.DirectIO = false
 		return r
@@ -203,8 +203,8 @@ func AblationRAWindow(o Options) (*Table, error) {
 	for _, fn := range fns {
 		for _, w := range windows {
 			w := w
-			cells = append(cells, Cell{Fn: fn, Scheme: Scheme{fmt.Sprintf("Linux-RA-%d", w),
-				func() prefetch.Prefetcher {
+			cells = append(cells, Cell{Fn: fn, Scheme: Scheme{Name: fmt.Sprintf("Linux-RA-%d", w),
+				New: func() prefetch.Prefetcher {
 					return prefetch.NewLinuxWithWindow(w, fmt.Sprintf("Linux-RA-%d", w))
 				}}, Cfg: Config{N: 1}})
 		}

@@ -119,7 +119,7 @@ func Cluster(o Options) (*Table, error) {
 		res, err := cluster.Run(cluster.Config{
 			Hosts:     p.Hosts,
 			HostNames: p.HostNames,
-			Scheme:    cluster.Scheme{Name: SchemeSnapBPF.Name, New: SchemeSnapBPF.New},
+			Scheme:    SchemeSnapBPF,
 			Router:    c.router,
 			Admission: p.Admission,
 			KeepAlive: cluster.KeepAlive{Budget: c.budget, IdleTimeout: p.IdleTimeout},
@@ -143,12 +143,8 @@ func Cluster(o Options) (*Table, error) {
 		o.progress("cluster %-18s admitted=%d cold=%d warm=%d rejected=%d",
 			label, res.Admitted, res.Cold, res.Warm, res.Rejected)
 		clusterRows(t, label, res)
-		if o.ObsSinkNamed != nil {
-			for _, hs := range res.Hosts {
-				if hs.Obs != nil {
-					o.ObsSinkNamed(fmt.Sprintf("cluster/%s/%s", label, hs.Name), hs.Obs)
-				}
-			}
+		for _, hs := range res.Hosts {
+			o.obsNamed(fmt.Sprintf("cluster/%s/%s", label, hs.Name), hs.Obs)
 		}
 	}
 	return t, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"snapbpf/internal/cluster"
+	"snapbpf/internal/units"
 	"snapbpf/internal/workload"
 )
 
@@ -49,6 +50,60 @@ func TestClusterSingleHostEquivalence(t *testing.T) {
 	if got := region.Digests["json"]; got != single.Digest {
 		t.Errorf("digest mismatch: cluster %016x != single-host %016x", got, single.Digest)
 	}
+}
+
+// One wave of N is a Run of N, and a co-location of one function is a
+// Run of that function: RunWaves, RunMixed and Run share the host
+// protocol, so each pair must agree exactly in mean E2E, device
+// traffic, memory and digest — the anchors tying the steady-state and
+// co-location experiments to the validated single-host cell.
+func TestWavesAndMixedSingleRunEquivalence(t *testing.T) {
+	const n = 3
+	for _, name := range []string{"json", "image"} {
+		fn, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Scheme{SchemeSnapBPF, SchemeREAP, SchemeLinuxRA, SchemeFaaSnap} {
+			cfg := Config{N: n, Check: true}
+			single, err := Run(fn, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if single.Digest == 0 {
+				t.Fatalf("%s/%s: no digest under Check", name, s.Name)
+			}
+			waves, err := RunWaves(fn, s, 1, time.Second, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed, err := RunMixed([]workload.Function{fn}, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cellPoint{single.MeanE2E, single.DeviceBytes, single.SystemMemory, single.Digest}
+			for _, c := range []struct {
+				what string
+				got  cellPoint
+			}{
+				{"RunWaves", cellPoint{waves.WaveE2E[0], waves.DeviceBytes, waves.PeakMemory, waves.Digest}},
+				{"RunMixed", cellPoint{mixed.PerFunction[name], mixed.DeviceBytes, mixed.SystemMemory, mixed.Digests[name]}},
+			} {
+				if c.got != want {
+					t.Errorf("%s/%s: %s gives %+v; Run gives %+v", name, s.Name, c.what, c.got, want)
+				}
+			}
+		}
+	}
+}
+
+// cellPoint is what the equivalence anchors compare: mean E2E, device
+// traffic, memory footprint and guest-memory digest.
+type cellPoint struct {
+	e2e    time.Duration
+	dev    int64
+	mem    units.ByteSize
+	digest uint64
 }
 
 const goldenClusterCSV = `Config,Scope,N,cold,warm,rej,p50 (s),p95 (s),p99 (s),cold mean (s),cold p99 (s),fair,device MiB

@@ -83,12 +83,12 @@ func TestMetamorphicInvariance(t *testing.T) {
 	}
 	base := checkedDigest(t, fn, SchemeSnapBPF, Config{N: 2})
 
-	offsetOrder := Scheme{"SnapBPF-offorder", func() prefetch.Prefetcher {
+	offsetOrder := Scheme{Name: "SnapBPF-offorder", New: func() prefetch.Prefetcher {
 		s := core.New()
 		s.OffsetOrder = true
 		return s
 	}}
-	perPage := Scheme{"SnapBPF-perpage", func() prefetch.Prefetcher {
+	perPage := Scheme{Name: "SnapBPF-perpage", New: func() prefetch.Prefetcher {
 		s := core.New()
 		s.DisableGrouping = true
 		return s

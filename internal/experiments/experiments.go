@@ -50,10 +50,11 @@ type Options struct {
 	ObsSink func(i int, cell Cell, res *RunResult)
 
 	// ObsSinkNamed receives observability reports from experiments
-	// whose unit of measurement is not a single-host RunResult — the
-	// cluster experiment delivers one report per (cell, host), always
-	// in (cell, host-index) order for the same byte-identical-output
-	// guarantee ObsSink gives.
+	// whose unit of measurement is not a single-host RunResult: one
+	// report per (cell, host) from the cluster experiment, per
+	// (function, scheme) from ext-steady-state and per scheme from
+	// ext-colocation. They arrive in job order, after the batch, for
+	// the same byte-identical-output guarantee ObsSink gives.
 	ObsSinkNamed func(name string, rep *obs.Report)
 
 	// Cluster tunes the cluster experiment; nil means the golden
@@ -83,6 +84,13 @@ func (o Options) functions() []workload.Function {
 func (o Options) progress(format string, args ...any) {
 	if o.Progress != nil {
 		o.Progress(fmt.Sprintf(format, args...))
+	}
+}
+
+// obsNamed hands rep to ObsSinkNamed, if both are set.
+func (o Options) obsNamed(name string, rep *obs.Report) {
+	if o.ObsSinkNamed != nil && rep != nil {
+		o.ObsSinkNamed(name, rep)
 	}
 }
 

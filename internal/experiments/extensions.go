@@ -116,7 +116,7 @@ func ExtCostAnalysis(o Options) (*Table, error) {
 	cells := make([]Cell, len(fns))
 	for idx, fn := range fns {
 		idx := idx
-		cells[idx] = Cell{Fn: fn, Scheme: Scheme{"SnapBPF", func() prefetch.Prefetcher {
+		cells[idx] = Cell{Fn: fn, Scheme: Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher {
 			s := core.New()
 			pfs[idx] = s
 			return s
@@ -269,7 +269,7 @@ func ExtSteadyState(o Options) (*Table, error) {
 	results := make([]*WavesResult, len(fns)*len(schemes))
 	err := o.runJobs(len(results), func(i int) error {
 		fn, s := fns[i/len(schemes)], schemes[i%len(schemes)]
-		res, err := RunWaves(fn, s, waves, perWave, 2*time.Second, blockdev.MicronSATA5300())
+		res, err := RunWaves(fn, s, waves, 2*time.Second, o.config(Config{N: perWave}))
 		if err != nil {
 			return err
 		}
@@ -283,6 +283,7 @@ func ExtSteadyState(o Options) (*Table, error) {
 		for si, s := range schemes {
 			res := results[fi*len(schemes)+si]
 			o.progress("ext-steady-state %-10s %-8s waves=%v", fn.Name, s.Name, res.WaveE2E)
+			o.obsNamed(fn.Name+"/"+s.Name, res.Obs)
 			t.AddRow(fn.Name, res.Scheme,
 				secs(res.WaveE2E[0]), secs(res.WaveE2E[1]), secs(res.WaveE2E[2]),
 				fmt.Sprintf("%.1f", float64(res.DeviceBytes)/(1<<20)),
@@ -369,7 +370,7 @@ func ExtColocation(o Options) (*Table, error) {
 	schemes := []Scheme{SchemeREAP, SchemeSnapBPF}
 	results := make([]*MixedResult, len(schemes))
 	err := o.runJobs(len(schemes), func(i int) error {
-		res, err := RunMixed(fns, schemes[i], 2, blockdev.MicronSATA5300())
+		res, err := RunMixed(fns, schemes[i], o.config(Config{N: 2}))
 		if err != nil {
 			return err
 		}
@@ -387,6 +388,7 @@ func ExtColocation(o Options) (*Table, error) {
 		}
 		mean := sum / time.Duration(len(res.PerFunction))
 		o.progress("ext-colocation %-8s mem=%v mean=%v", s.Name, res.SystemMemory, mean)
+		o.obsNamed(s.Name, res.Obs)
 		t.AddRow(s.Name,
 			fmt.Sprintf("%.2f", float64(res.SystemMemory)/(1<<30)),
 			fmt.Sprintf("%.1f", float64(res.DeviceBytes)/(1<<20)),

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
-	"snapbpf/internal/blockdev"
+	"snapbpf/internal/faults"
+	"snapbpf/internal/obs"
 	"snapbpf/internal/workload"
 )
 
@@ -25,7 +27,7 @@ func TestInputVarianceErodesDedup(t *testing.T) {
 
 func TestRunWavesWarmsCache(t *testing.T) {
 	fn := tinyFn()
-	res, err := RunWaves(fn, SchemeSnapBPF, 3, 2, 0, blockdev.MicronSATA5300())
+	res, err := RunWaves(fn, SchemeSnapBPF, 3, 0, Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestRunWavesWarmsCache(t *testing.T) {
 		t.Fatalf("device bytes %d for 3 waves, ws %d: cache not reused", res.DeviceBytes, ws)
 	}
 
-	reap, err := RunWaves(fn, SchemeREAP, 3, 2, 0, blockdev.MicronSATA5300())
+	reap, err := RunWaves(fn, SchemeREAP, 3, 0, Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,73 @@ func TestRunWavesWarmsCache(t *testing.T) {
 }
 
 func TestRunWavesValidation(t *testing.T) {
-	if _, err := RunWaves(tinyFn(), SchemeSnapBPF, 0, 2, 0, blockdev.MicronSATA5300()); err == nil {
+	if _, err := RunWaves(tinyFn(), SchemeSnapBPF, 0, 0, Config{N: 2}); err == nil {
 		t.Fatal("zero waves accepted")
+	}
+}
+
+// TestSteadyStateAndColocationHonourOptions: ext-steady-state and
+// ext-colocation run through the same armed host as every other cell,
+// so injected faults move their numbers, and the checker and recorder
+// report on every run without moving a byte of the table.
+func TestSteadyStateAndColocationHonourOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state and co-location sweeps are slow")
+	}
+	var fns []workload.Function
+	for _, name := range []string{"json", "image"} {
+		fn, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fns = append(fns, fn)
+	}
+	light := faults.Light(1)
+	for _, exp := range []struct {
+		id      string
+		run     func(Options) (*Table, error)
+		reports []string
+	}{
+		{"ext-steady-state", ExtSteadyState, []string{"json/REAP", "json/SnapBPF", "image/REAP", "image/SnapBPF"}},
+		{"ext-colocation", ExtColocation, []string{"REAP", "SnapBPF"}},
+	} {
+		healthy, err := exp.run(Options{Functions: fns})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted, err := exp.run(Options{Functions: fns, Faults: &light})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faulted.CSV() == healthy.CSV() {
+			t.Errorf("%s: light faults left the table unchanged", exp.id)
+		}
+		var got []string
+		armed, err := exp.run(Options{Functions: fns, Check: true, Obs: &obs.Config{Metrics: true},
+			ObsSinkNamed: func(name string, rep *obs.Report) {
+				if rep.Metrics() != nil {
+					got = append(got, name)
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if armed.CSV() != healthy.CSV() {
+			t.Errorf("%s: arming the checker and recorder moved the table", exp.id)
+		}
+		if !slices.Equal(got, exp.reports) {
+			t.Errorf("%s: metrics reports for %v, want %v", exp.id, got, exp.reports)
+		}
+	}
+}
+
+func TestRunMixedRejectsBadInput(t *testing.T) {
+	fn := tinyFn()
+	if _, err := RunMixed([]workload.Function{fn, tinyFn()}, SchemeSnapBPF, Config{N: 1}); err == nil {
+		t.Error("a function given twice was accepted")
+	}
+	if _, err := RunMixed([]workload.Function{fn}, SchemeSnapBPF, Config{N: -1}); err == nil {
+		t.Error("a negative sandbox count was accepted")
 	}
 }
 
@@ -67,7 +134,7 @@ func TestRunMixedColocation(t *testing.T) {
 		Name: "tiny2", MemMiB: 64, StateMiB: 32, WSMiB: 6, WSRegions: 8,
 		AllocMiB: 4, ComputeMs: 8, WriteFrac: 0.1, Seed: 9,
 	}}
-	res, err := RunMixed(fns, SchemeSnapBPF, 2, blockdev.MicronSATA5300())
+	res, err := RunMixed(fns, SchemeSnapBPF, Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +159,7 @@ func TestRunMixedIsolatesWorkingSets(t *testing.T) {
 	fnB := fnA
 	fnB.Name = "tinyB"
 	fnB.Seed = 77
-	res, err := RunMixed([]workload.Function{fnA, fnB}, SchemeSnapBPF, 1, blockdev.MicronSATA5300())
+	res, err := RunMixed([]workload.Function{fnA, fnB}, SchemeSnapBPF, Config{N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

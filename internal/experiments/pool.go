@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,22 +19,6 @@ type Cell struct {
 	Fn     workload.Function
 	Scheme Scheme
 	Cfg    Config
-}
-
-// ParseParallel parses a worker-count setting (the -parallel flag or
-// the SNAPBPF_BENCH_PARALLEL environment variable): a non-negative
-// integer, where 0 means one worker per CPU. Non-integers and
-// negative counts are rejected rather than silently treated as the
-// default.
-func ParseParallel(s string) (int, error) {
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("parallel: %q is not an integer", s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("parallel: worker count must be >= 0, got %d", n)
-	}
-	return n, nil
 }
 
 // workers resolves the pool width: Options.Parallel if positive,
@@ -106,6 +88,25 @@ func runJob(job func(i int) error, i int) (err error) {
 	return job(i)
 }
 
+// config lays the run-wide options over one run's own config: a
+// fault plan, observability setup or store setup the run sets itself
+// wins, and Check arms the checker everywhere.
+func (o Options) config(cfg Config) Config {
+	if cfg.Faults == nil {
+		cfg.Faults = o.Faults
+	}
+	if o.Check {
+		cfg.Check = true
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = o.Obs
+	}
+	if cfg.Store == nil {
+		cfg.Store = o.Store
+	}
+	return cfg
+}
+
 // RunCells executes every cell and returns results in cell order.
 // Scheduling is work-stealing over Options.Parallel workers (default:
 // GOMAXPROCS); collection is order-preserving, so the returned slice —
@@ -116,20 +117,7 @@ func runJob(job func(i int) error, i int) (err error) {
 func RunCells(o Options, cells []Cell) ([]*RunResult, error) {
 	out := make([]*RunResult, len(cells))
 	err := o.runJobs(len(cells), func(i int) error {
-		cfg := cells[i].Cfg
-		if cfg.Faults == nil {
-			cfg.Faults = o.Faults
-		}
-		if o.Check {
-			cfg.Check = true
-		}
-		if cfg.Obs == nil {
-			cfg.Obs = o.Obs
-		}
-		if cfg.Store == nil {
-			cfg.Store = o.Store
-		}
-		r, err := Run(cells[i].Fn, cells[i].Scheme, cfg)
+		r, err := Run(cells[i].Fn, cells[i].Scheme, o.config(cells[i].Cfg))
 		if err != nil {
 			return err
 		}

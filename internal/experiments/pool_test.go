@@ -117,7 +117,7 @@ func (panickyPrepare) PrepareVM(*sim.Proc, *prefetch.Env, *vmm.MicroVM) error {
 // surfaces from the engine on the cell's goroutine, where the pool
 // turns it into that cell's error; the other cells still complete.
 func TestRunCellsProcPanicIsError(t *testing.T) {
-	bad := Scheme{"Panicky", func() prefetch.Prefetcher { return panickyPrepare{prefetch.NewLinuxRA()} }}
+	bad := Scheme{Name: "Panicky", New: func() prefetch.Prefetcher { return panickyPrepare{prefetch.NewLinuxRA()} }}
 	cells := []Cell{
 		{Fn: tinyFn(), Scheme: SchemeLinuxRA, Cfg: Config{N: 2}},
 		{Fn: tinyFn(), Scheme: bad, Cfg: Config{N: 2}},

@@ -3,11 +3,8 @@
 // behind every table and figure of the paper (§4), and formats them
 // as aligned text tables and CSV.
 //
-// Each run uses a fresh simulated host. The record phase (if the
-// scheme has one) executes first; the page cache is then dropped and
-// device counters reset, so the measured invocation phase starts cold
-// — matching the paper's methodology of measuring cold-start
-// invocations.
+// Each run uses a fresh simulated host and the cold-start protocol of
+// internal/testbed: record, drop the caches, then measure cold starts.
 package experiments
 
 import (
@@ -25,28 +22,25 @@ import (
 	"snapbpf/internal/prefetch/reap"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/store"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/trace"
 	"snapbpf/internal/units"
 	"snapbpf/internal/vmm"
 	"snapbpf/internal/workload"
 )
 
-// Scheme is a named prefetcher factory. A fresh Prefetcher is built
-// per (function, run) because prefetchers hold per-function artifacts.
-type Scheme struct {
-	Name string
-	New  func() prefetch.Prefetcher
-}
+// Scheme is a named prefetcher factory.
+type Scheme = testbed.Scheme
 
 // Standard schemes.
 var (
-	SchemeLinuxNoRA = Scheme{"Linux-NoRA", func() prefetch.Prefetcher { return prefetch.NewLinuxNoRA() }}
-	SchemeLinuxRA   = Scheme{"Linux-RA", func() prefetch.Prefetcher { return prefetch.NewLinuxRA() }}
-	SchemeREAP      = Scheme{"REAP", func() prefetch.Prefetcher { return reap.New() }}
-	SchemeFaast     = Scheme{"Faast", func() prefetch.Prefetcher { return faast.New() }}
-	SchemeFaaSnap   = Scheme{"FaaSnap", func() prefetch.Prefetcher { return faasnap.New() }}
-	SchemeSnapBPF   = Scheme{"SnapBPF", func() prefetch.Prefetcher { return core.New() }}
-	SchemePVOnly    = Scheme{"PVPTEs", func() prefetch.Prefetcher { return core.NewPVOnly() }}
+	SchemeLinuxNoRA = Scheme{Name: "Linux-NoRA", New: func() prefetch.Prefetcher { return prefetch.NewLinuxNoRA() }}
+	SchemeLinuxRA   = Scheme{Name: "Linux-RA", New: func() prefetch.Prefetcher { return prefetch.NewLinuxRA() }}
+	SchemeREAP      = Scheme{Name: "REAP", New: func() prefetch.Prefetcher { return reap.New() }}
+	SchemeFaast     = Scheme{Name: "Faast", New: func() prefetch.Prefetcher { return faast.New() }}
+	SchemeFaaSnap   = Scheme{Name: "FaaSnap", New: func() prefetch.Prefetcher { return faasnap.New() }}
+	SchemeSnapBPF   = Scheme{Name: "SnapBPF", New: func() prefetch.Prefetcher { return core.New() }}
+	SchemePVOnly    = Scheme{Name: "PVPTEs", New: func() prefetch.Prefetcher { return core.NewPVOnly() }}
 )
 
 // RunResult is the measurement of one (scheme, function, concurrency)
@@ -176,11 +170,33 @@ func (cfg Config) invokeTrace(env *prefetch.Env, i int) *trace.Trace {
 	return env.Fn.GenTraceVariant(int64(i+1), cfg.InputVariance*0.3, cfg.InputVariance*0.25)
 }
 
-// Run executes one cell: record once, then N concurrent invocations
-// of fn under the scheme.
-func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
+// measurement is a single-host run after its measured phase: the armed
+// host, the staged functions, and every sandbox that ran.
+type measurement struct {
+	h      *testbed.Host
+	staged []*testbed.Fn
+	// sbs[w][i*N+k] is sandbox k of function i in wave w.
+	sbs [][]testbed.Sandbox
+	// mem is the host's footprint at the end of each wave, before
+	// teardown.
+	mem []units.ByteSize
+	// digests[i] is the guest-memory fold every sandbox of function i
+	// converged to (0 without Check, or with InputVariance set).
+	digests []uint64
+	obs     *obs.Report
+	counts  *check.Counts
+}
+
+// measure is the protocol behind Run, RunWaves and RunMixed. It checks
+// cfg and fills in its defaults, arms one host as cfg asks, stages an
+// instance of scheme for each function and records them. Then it runs
+// `waves` bursts of cfg.N concurrent sandboxes of every function: wave
+// w starts w·gap after the first, or as soon as wave w−1 has drained
+// if that is later, and its sandboxes are torn down when it ends.
+// label names the run in errors.
+func (cfg *Config) measure(label string, scheme Scheme, fns []workload.Function, waves int, gap time.Duration) (*measurement, error) {
 	if cfg.N < 0 {
-		return nil, fmt.Errorf("run %s/%s: negative sandbox count %d", scheme.Name, fn.Name, cfg.N)
+		return nil, fmt.Errorf("%s: negative sandbox count %d", label, cfg.N)
 	}
 	if cfg.N == 0 {
 		cfg.N = 1
@@ -188,225 +204,140 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 	if cfg.Device.Name == "" {
 		cfg.Device = blockdev.MicronSATA5300()
 	}
-	var inj *faults.Injector
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("run %s/%s: %w", scheme.Name, fn.Name, err)
-		}
-		if cfg.Faults.Enabled() {
-			inj = faults.NewInjector(*cfg.Faults)
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
 	}
-	h := vmm.NewHost(cfg.Device)
-	h.Dev.SetFaults(inj)
-	// Arm the harness before any simulated event so the shadow state
-	// observes the run from the very first page-cache insert.
-	var chk *check.Checker
-	var rec *obs.Recorder
-	var schemeObs []prefetch.Observer
-	if cfg.Check {
-		chk = check.New(h, inj)
-		schemeObs = append(schemeObs, chk)
-	}
-	if cfg.Obs.Enabled() {
-		rec = obs.Attach(h, *cfg.Obs)
-		schemeObs = append(schemeObs, rec)
-	}
-	pf := scheme.New()
-
-	zeroOnFree := pf.RestoreConfig(0).ZeroOnFree
-	img := vmm.BuildImage(fn, zeroOnFree)
-	snapInode := h.RegisterSnapshot(fn.Name+".snapmem", img)
-	if chk != nil {
-		chk.RegisterFileTags(snapInode, img.PageTags)
-	}
-	env := &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   snapInode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
-		Faults:      inj,
-		Observers:   schemeObs,
-	}
-
-	// --- Distribution tier ---
-	// With a non-local tier the snapshot's chunks live in the remote
-	// store: device reads of the snapshot inode are staged behind the
-	// host chunk cache, and SnapBPF's captured offsets feed the
-	// chunk-priority plan. TierLocal leaves everything untouched.
-	var bind *store.Binding
-	var hcStore *store.HostCache
-	var remote *store.Remote
-	if sc := cfg.Store; sc != nil && sc.Tier != store.TierLocal {
-		remote = store.NewRemote(sc.Params)
-		hcStore = store.NewHostCache(h.Eng, remote, inj)
-		if chk != nil {
-			chk.AttachStore(hcStore)
-		}
-		if rec != nil {
-			hcStore.AddObserver(rec)
-		}
-		man := store.BuildManifest(fn.Name, img.PageTags, remote.Params().ChunkPages)
-		if sc.SabotageChunk > 0 && sc.SabotageChunk <= len(man.Chunks) {
-			// Test knob: forge one manifest hash (stale manifest / corrupt
-			// chunk); the checker must flag the fetch.
-			man.Chunks[sc.SabotageChunk-1].ID ^= 0xdeadbeef
-		}
-		if sc.PermuteChunks != 0 {
-			store.PermuteChunks(man, sc.PermuteChunks)
-		}
-		bind = hcStore.Bind(man, sc.Policy, img.PageTags)
-		snapInode.SetStager(bind)
-		env.ChunkPlan = bind.Plan
-	}
-
-	// --- Record phase ---
-	var recErr error
-	h.Eng.Go("record", func(p *sim.Proc) {
-		recErr = pf.Record(p, env)
+	h := testbed.Arm(vmm.NewHost(cfg.Device), "", testbed.Arming{
+		Faults: cfg.Faults, Check: cfg.Check, Obs: cfg.Obs, Store: cfg.Store,
 	})
-	h.Eng.Run()
-	if recErr != nil {
-		return nil, fmt.Errorf("record %s/%s: %w", scheme.Name, fn.Name, recErr)
+	s := &measurement{h: h}
+	for _, fn := range fns {
+		s.staged = append(s.staged, h.Stage(fn, scheme))
 	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
-	h.Cache.SetMemLimit(cfg.CacheLimitPages)
-	if bind != nil {
-		switch cfg.Store.Tier {
-		case store.TierCold:
-			// Cold remote: the measured phase starts with an empty
-			// chunk cache, as a host that never ran this function.
-			hcStore.Drop()
-		case store.TierWarm:
-			// Warm cache: a previous instance pulled every chunk.
-			// Preload through the normal fetch path, drained before
-			// the first measured restore.
-			h.Eng.Go("store-preload", func(p *sim.Proc) { bind.Preload(p) })
-			h.Eng.Run()
-		}
+	if err := testbed.Record(cfg.CacheLimitPages, h); err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 
-	// --- Invocation phase: N concurrent sandboxes ---
-	res := &RunResult{Scheme: pf.Name(), Function: fn.Name, N: cfg.N,
-		E2E: make([]time.Duration, cfg.N)}
-	vms := make([]*vmm.MicroVM, cfg.N)
-	digests := make([]uint64, cfg.N)
-	var prepSum time.Duration
-	// Several sandboxes can fail; keep the *first* failure (and the
-	// failing VM's index) so diagnostics are stable — within one engine
-	// the dispatch order, and therefore "first", is deterministic.
+	n := cfg.N
+	// Several sandboxes can fail; keep the *first* failure so
+	// diagnostics are stable — within one engine the dispatch order,
+	// and therefore "first", is deterministic.
 	var invErr error
-	invErrVM := -1
-	fail := func(i int, err error) {
-		if invErr == nil {
-			invErr, invErrVM = err, i
+	start := h.Eng.Now()
+	for w := 0; w < waves; w++ {
+		wave := make([]testbed.Sandbox, len(fns)*n)
+		for i, f := range s.staged {
+			for k := 0; k < n; k++ {
+				i, k, f := i, k, f
+				vm := fmt.Sprintf("%s-vm%d", f.Env.Fn.Name, k)
+				if w > 0 {
+					vm = fmt.Sprintf("w%d-%s", w, vm)
+				}
+				proc := fmt.Sprintf("vm%d", (w*len(fns)+i)*n+k)
+				h.Eng.GoAfter(start.Add(time.Duration(w)*gap).Sub(h.Eng.Now()), proc, func(p *sim.Proc) {
+					sb, err := h.ColdStart(p, f, vm, cfg.AllocDrift*(1+k), cfg.invokeTrace(f.Env, k))
+					if err != nil {
+						if invErr == nil {
+							invErr = fmt.Errorf("%s: invoke %s: %w", label, vm, err)
+						}
+						return
+					}
+					wave[i*n+k] = sb
+				})
+			}
 		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		h.Eng.Go(fmt.Sprintf("vm%d", i), func(p *sim.Proc) {
-			vm, err := h.Restore(p, fmt.Sprintf("%s-vm%d", fn.Name, i), fn, img, snapInode,
-				pf.RestoreConfig(cfg.AllocDrift*(1+i)))
-			if err != nil {
-				fail(i, err)
-				return
-			}
-			vms[i] = vm
-			if bind != nil {
-				// Full-download policy blocks restores until the whole
-				// snapshot is local; other policies return at once. The
-				// wait lands in E2E, like the real registry pull.
-				bind.BeginRestore(p)
-			}
-			if err := pf.PrepareVM(p, env, vm); err != nil {
-				fail(i, err)
-				return
-			}
-			vm.MarkPrepared(p)
-			st, err := vm.Invoke(p, cfg.invokeTrace(env, i))
-			if err != nil {
-				fail(i, err)
-				return
-			}
-			res.E2E[i] = st.E2E
-			prepSum += st.Prepare
-			pf.FinishVM(env, vm)
-			if chk != nil {
-				// Digest before Shutdown: the shadow page table is
-				// consumed with the address space.
-				digests[i] = chk.VMDone(vm)
-			}
-		})
-	}
-	h.Eng.Run()
-	if invErr != nil {
-		return nil, fmt.Errorf("invoke %s/%s: vm%d: %w", scheme.Name, fn.Name, invErrVM, invErr)
+		h.Eng.Run() // the wave completes, with its prefetch threads
+		if invErr != nil {
+			return nil, invErr
+		}
+		// Memory before teardown: everything the sandboxes still hold.
+		s.mem = append(s.mem, units.PagesToBytes(h.MM.SystemMemoryPages()))
+		for _, sb := range wave {
+			sb.VM.Shutdown()
+		}
+		s.sbs = append(s.sbs, wave)
 	}
 
-	// Memory before teardown: everything sandboxes still hold.
-	res.SystemMemory = units.PagesToBytes(h.MM.SystemMemoryPages())
-	for _, vm := range vms {
-		if vm != nil {
-			vm.Shutdown()
-		}
-	}
-	if chk != nil {
-		if cfg.InputVariance == 0 {
-			// Identical inputs: every sandbox must converge to the same
-			// guest-visible memory, whatever the scheme did to get there.
-			for i := 1; i < cfg.N; i++ {
-				if digests[i] != digests[0] {
-					return nil, fmt.Errorf("check %s/%s: vm%d digest %016x != vm0 digest %016x",
-						scheme.Name, fn.Name, i, digests[i], digests[0])
+	s.digests = make([]uint64, len(fns))
+	if cfg.InputVariance == 0 {
+		// Identical inputs: every sandbox of a function must converge to
+		// the same guest-visible memory, whatever the scheme did to get
+		// there.
+		for i, fn := range fns {
+			want := s.sbs[0][i*n].Digest
+			for w, wave := range s.sbs {
+				for k, sb := range wave[i*n : (i+1)*n] {
+					if sb.Digest != want {
+						return nil, fmt.Errorf("check %s/%s: vm%d digest %016x != vm0 digest %016x",
+							scheme.Name, fn.Name, w*n+k, sb.Digest, want)
+					}
 				}
 			}
-			res.Digest = digests[0]
-		}
-		if err := chk.Finish(); err != nil {
-			return nil, fmt.Errorf("check %s/%s: %w", scheme.Name, fn.Name, err)
+			s.digests[i] = want
 		}
 	}
-
-	if rec != nil {
-		res.Obs = rec.Finish()
+	var err error
+	if s.obs, s.counts, err = h.Finish(); err != nil {
+		return nil, fmt.Errorf("check %s: %w", label, err)
 	}
-	if chk != nil {
-		cc := chk.Counts()
-		res.CheckCounts = &cc
-	}
+	return s, nil
+}
 
+// meanE2E is the mean E2E of sbs.
+func meanE2E(sbs []testbed.Sandbox) time.Duration {
 	var sum time.Duration
-	for _, e := range res.E2E {
-		sum += e
-		if e > res.MaxE2E {
-			res.MaxE2E = e
-		}
+	for _, sb := range sbs {
+		sum += sb.Stats.E2E
 	}
-	res.MeanE2E = sum / time.Duration(cfg.N)
+	return sum / time.Duration(len(sbs))
+}
+
+// Run executes one cell: record once, then N concurrent invocations
+// of fn under the scheme.
+func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
+	s, err := cfg.measure(scheme.Name+"/"+fn.Name, scheme, []workload.Function{fn}, 1, 0)
+	if err != nil {
+		return nil, err
+	}
+	h, pf := s.h, s.staged[0].PF
+	res := &RunResult{
+		Scheme: pf.Name(), Function: fn.Name, N: cfg.N,
+		E2E:            make([]time.Duration, cfg.N),
+		MeanE2E:        meanE2E(s.sbs[0]),
+		SystemMemory:   s.mem[0],
+		DeviceBytes:    h.Dev.Stats().BytesRead,
+		DeviceRequests: h.Dev.Stats().Requests,
+		Evictions:      h.Cache.Evictions(),
+		Faults:         h.Inj.Report(),
+		Digest:         s.digests[0],
+		Obs:            s.obs,
+		CheckCounts:    s.counts,
+	}
+	var prepSum time.Duration
+	for i, sb := range s.sbs[0] {
+		res.E2E[i] = sb.Stats.E2E
+		res.MaxE2E = max(res.MaxE2E, sb.Stats.E2E)
+		prepSum += sb.Stats.Prepare
+	}
 	res.MeanPrepare = prepSum / time.Duration(cfg.N)
-	res.DeviceBytes = h.Dev.Stats().BytesRead
-	res.DeviceRequests = h.Dev.Stats().Requests
-	res.Evictions = h.Cache.Evictions()
-	res.Faults = inj.Report()
-	if hcStore != nil {
-		cs := hcStore.Stats()
+	if h.Chunks != nil {
+		cs := h.Chunks.Stats()
 		res.Store = &cs
-		rs := remote.Stats()
+		rs := h.Remote.Stats()
 		res.StoreRemote = &rs
 	}
 
-	if s, ok := pf.(*core.SnapBPF); ok {
-		if len(s.OffsetLoads) > 0 {
+	if sb, ok := pf.(*core.SnapBPF); ok {
+		if len(sb.OffsetLoads) > 0 {
 			var t time.Duration
-			for _, d := range s.OffsetLoads {
+			for _, d := range sb.OffsetLoads {
 				t += d
 			}
-			res.OffsetLoad = t / time.Duration(len(s.OffsetLoads))
+			res.OffsetLoad = t / time.Duration(len(sb.OffsetLoads))
 		}
-		if ws := s.WorkingSet(); ws != nil {
+		if ws := sb.WorkingSet(); ws != nil {
 			res.WSGroups = len(ws.Groups)
 		}
 	}
@@ -426,90 +357,32 @@ type WavesResult struct {
 	DeviceBytes int64
 	// PeakMemory is the largest footprint observed at a wave end.
 	PeakMemory units.ByteSize
+	// Digest is the guest-memory fold every sandbox of every wave
+	// converged to, as in RunResult.Digest.
+	Digest uint64
+	// Obs is the run's observability report, as in RunResult.Obs.
+	Obs *obs.Report
 }
 
-// RunWaves records once, then runs `waves` bursts of `perWave`
-// concurrent sandboxes with `gap` of idle time between bursts.
-func RunWaves(fn workload.Function, scheme Scheme, waves, perWave int, gap time.Duration, device blockdev.Params) (*WavesResult, error) {
-	if waves <= 0 || perWave <= 0 {
-		return nil, fmt.Errorf("waves and perWave must be positive")
+// RunWaves records once, then runs `waves` bursts of cfg.N concurrent
+// sandboxes: wave w starts w·gap after the first, or as soon as wave
+// w−1 has drained if that is later. Both counts must be positive.
+func RunWaves(fn workload.Function, scheme Scheme, waves int, gap time.Duration, cfg Config) (*WavesResult, error) {
+	label := scheme.Name + "/" + fn.Name
+	if waves <= 0 || cfg.N <= 0 {
+		return nil, fmt.Errorf("%s: waves (%d) and sandboxes per wave (%d) must be positive",
+			label, waves, cfg.N)
 	}
-	if device.Name == "" {
-		device = blockdev.MicronSATA5300()
+	s, err := cfg.measure(label, scheme, []workload.Function{fn}, waves, gap)
+	if err != nil {
+		return nil, err
 	}
-	h := vmm.NewHost(device)
-	pf := scheme.New()
-	img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-	snapInode := h.RegisterSnapshot(fn.Name+".snapmem", img)
-	env := &prefetch.Env{
-		Host:        h,
-		Fn:          fn,
-		Image:       img,
-		SnapInode:   snapInode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
+	res := &WavesResult{Scheme: s.staged[0].PF.Name(), DeviceBytes: s.h.Dev.Stats().BytesRead,
+		Digest: s.digests[0], Obs: s.obs}
+	for w, wave := range s.sbs {
+		res.WaveE2E = append(res.WaveE2E, meanE2E(wave))
+		res.PeakMemory = max(res.PeakMemory, s.mem[w])
 	}
-	var recErr error
-	h.Eng.Go("record", func(p *sim.Proc) { recErr = pf.Record(p, env) })
-	h.Eng.Run()
-	if recErr != nil {
-		return nil, recErr
-	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
-
-	res := &WavesResult{Scheme: pf.Name()}
-	var invErr error
-	fail := func(w, i int, err error) {
-		if invErr == nil {
-			invErr = fmt.Errorf("wave %d vm%d: %w", w, i, err)
-		}
-	}
-	start := h.Eng.Now()
-	for w := 0; w < waves; w++ {
-		w := w
-		var sum time.Duration
-		vms := make([]*vmm.MicroVM, perWave)
-		for i := 0; i < perWave; i++ {
-			i := i
-			h.Eng.GoAfter(start.Add(time.Duration(w)*gap).Sub(h.Eng.Now()),
-				fmt.Sprintf("w%d-vm%d", w, i), func(p *sim.Proc) {
-					vm, err := h.Restore(p, fmt.Sprintf("w%d-vm%d", w, i), fn, img, snapInode,
-						pf.RestoreConfig(0))
-					if err != nil {
-						fail(w, i, err)
-						return
-					}
-					vms[i] = vm
-					if err := pf.PrepareVM(p, env, vm); err != nil {
-						fail(w, i, err)
-						return
-					}
-					vm.MarkPrepared(p)
-					st, err := vm.Invoke(p, env.InvokeTrace)
-					if err != nil {
-						fail(w, i, err)
-						return
-					}
-					sum += st.E2E
-					pf.FinishVM(env, vm)
-				})
-		}
-		h.Eng.Run() // wave completes (plus its prefetch threads)
-		if invErr != nil {
-			return nil, invErr
-		}
-		if mem := units.PagesToBytes(h.MM.SystemMemoryPages()); mem > res.PeakMemory {
-			res.PeakMemory = mem
-		}
-		for _, vm := range vms {
-			if vm != nil {
-				vm.Shutdown()
-			}
-		}
-		res.WaveE2E = append(res.WaveE2E, sum/time.Duration(perWave))
-	}
-	res.DeviceBytes = h.Dev.Stats().BytesRead
 	return res, nil
 }
 
@@ -523,105 +396,39 @@ type MixedResult struct {
 	SystemMemory units.ByteSize
 	// DeviceBytes is the invocation-phase storage traffic.
 	DeviceBytes int64
+	// Digests maps function name to the guest-memory fold its
+	// sandboxes converged to, as in RunResult.Digest.
+	Digests map[string]uint64
+	// Obs is the run's observability report, as in RunResult.Obs.
+	Obs *obs.Report
 }
 
-// RunMixed records every function once, then starts perFn sandboxes
+// RunMixed records every function once, then starts cfg.N sandboxes
 // of *each* function concurrently on one shared host — the
-// multi-tenant co-location scenario a FaaS node actually faces.
-func RunMixed(fns []workload.Function, scheme Scheme, perFn int, device blockdev.Params) (*MixedResult, error) {
+// multi-tenant co-location scenario a FaaS node actually faces. Each
+// function may appear once.
+func RunMixed(fns []workload.Function, scheme Scheme, cfg Config) (*MixedResult, error) {
+	label := "mixed " + scheme.Name
 	if len(fns) == 0 {
-		return nil, fmt.Errorf("mixed %s: no functions given", scheme.Name)
+		return nil, fmt.Errorf("%s: no functions given", label)
 	}
-	if perFn <= 0 {
-		perFn = 1
+	seen := make(map[string]bool, len(fns))
+	for _, fn := range fns {
+		if seen[fn.Name] {
+			return nil, fmt.Errorf("%s: function %q given twice", label, fn.Name)
+		}
+		seen[fn.Name] = true
 	}
-	if device.Name == "" {
-		device = blockdev.MicronSATA5300()
+	s, err := cfg.measure(label, scheme, fns, 1, 0)
+	if err != nil {
+		return nil, err
 	}
-	h := vmm.NewHost(device)
-
-	type fnCtx struct {
-		pf  prefetch.Prefetcher
-		env *prefetch.Env
-	}
-	ctxs := make([]fnCtx, len(fns))
+	res := &MixedResult{Scheme: scheme.Name, SystemMemory: s.mem[0],
+		DeviceBytes: s.h.Dev.Stats().BytesRead, Obs: s.obs,
+		PerFunction: make(map[string]time.Duration), Digests: make(map[string]uint64)}
 	for i, fn := range fns {
-		pf := scheme.New()
-		img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-		ctxs[i] = fnCtx{pf: pf, env: &prefetch.Env{
-			Host:        h,
-			Fn:          fn,
-			Image:       img,
-			SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", img),
-			RecordTrace: fn.GenTrace(),
-			InvokeTrace: fn.GenTrace(),
-		}}
+		res.PerFunction[fn.Name] = meanE2E(s.sbs[0][i*cfg.N : (i+1)*cfg.N])
+		res.Digests[fn.Name] = s.digests[i]
 	}
-
-	// Record phases run sequentially on the shared host.
-	var recErr error
-	h.Eng.Go("record", func(p *sim.Proc) {
-		for _, c := range ctxs {
-			if err := c.pf.Record(p, c.env); err != nil {
-				recErr = err
-				return
-			}
-		}
-	})
-	h.Eng.Run()
-	if recErr != nil {
-		return nil, fmt.Errorf("mixed record %s: %w", scheme.Name, recErr)
-	}
-	h.Cache.DropCaches()
-	h.Dev.ResetStats()
-
-	res := &MixedResult{Scheme: scheme.Name, PerFunction: make(map[string]time.Duration)}
-	sums := make([]time.Duration, len(fns))
-	var vms []*vmm.MicroVM
-	var invErr error
-	fail := func(fn string, k int, err error) {
-		if invErr == nil {
-			invErr = fmt.Errorf("%s-vm%d: %w", fn, k, err)
-		}
-	}
-	for i := range ctxs {
-		for k := 0; k < perFn; k++ {
-			i, k := i, k
-			c := ctxs[i]
-			h.Eng.Go(fmt.Sprintf("%s-vm%d", c.env.Fn.Name, k), func(p *sim.Proc) {
-				vm, err := h.Restore(p, fmt.Sprintf("%s-vm%d", c.env.Fn.Name, k),
-					c.env.Fn, c.env.Image, c.env.SnapInode, c.pf.RestoreConfig(0))
-				if err != nil {
-					fail(c.env.Fn.Name, k, err)
-					return
-				}
-				vms = append(vms, vm)
-				if err := c.pf.PrepareVM(p, c.env, vm); err != nil {
-					fail(c.env.Fn.Name, k, err)
-					return
-				}
-				vm.MarkPrepared(p)
-				st, err := vm.Invoke(p, c.env.InvokeTrace)
-				if err != nil {
-					fail(c.env.Fn.Name, k, err)
-					return
-				}
-				sums[i] += st.E2E
-				c.pf.FinishVM(c.env, vm)
-			})
-		}
-	}
-	h.Eng.Run()
-	if invErr != nil {
-		return nil, fmt.Errorf("mixed invoke %s: %w", scheme.Name, invErr)
-	}
-	res.SystemMemory = units.PagesToBytes(h.MM.SystemMemoryPages())
-	for _, vm := range vms {
-		vm.Shutdown()
-	}
-	for i, fn := range fns {
-		res.PerFunction[fn.Name] = sums[i] / time.Duration(perFn)
-	}
-	res.DeviceBytes = h.Dev.Stats().BytesRead
 	return res, nil
 }

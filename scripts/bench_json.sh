@@ -4,10 +4,8 @@
 # benchmark in the measured packages, stamped with the git state so
 # two snapshots are only ever compared like-for-like.
 #
-# Per-experiment wall-clock timings are embedded from
-# results/timing.json when that file exists (regenerate it with
-# `go run ./cmd/snapbpf-bench -timing results/timing.json ...`); the
-# timing file carries its own git_state/workers stamp.
+# End-to-end timings are not here: snapbpf-bench prints each
+# experiment's wall-clock, and bench/ is the end-to-end ledger.
 #
 # Usage: scripts/bench_json.sh [out.json]
 #   SNAPBPF_BENCHTIME=50000x  iterations per benchmark (default 20000x)
@@ -53,13 +51,7 @@ mkdir -p "$(dirname "$out")"
     }
     END { if (n) printf "\n" }
   ' "$tmp"
-  printf '  ],\n'
-  printf '  "experiments": '
-  if [ -f results/timing.json ]; then
-    sed 's/^/  /' results/timing.json | sed '1s/^  //'
-  else
-    printf 'null\n'
-  fi
+  printf '  ]\n'
   printf '}\n'
 } >"$out"
 echo "wrote $out" >&2

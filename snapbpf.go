@@ -24,6 +24,8 @@ package snapbpf
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"snapbpf/internal/blockdev"
@@ -199,10 +201,20 @@ func LightFaults(seed int64) FaultPlan { return faults.Light(seed) }
 // HeavyFaults returns the degrading-device fault plan.
 func HeavyFaults(seed int64) FaultPlan { return faults.Heavy(seed) }
 
-// ParseParallel parses a worker-count setting (the -parallel flag or
-// SNAPBPF_BENCH_PARALLEL), rejecting non-integers and negative counts.
-// 0 means one worker per CPU.
-func ParseParallel(s string) (int, error) { return experiments.ParseParallel(s) }
+// ParseParallel parses a worker-count setting such as the -parallel
+// flag: a non-negative integer, where 0 means one worker per CPU.
+// Non-integers and negative counts are rejected rather than silently
+// treated as the default.
+func ParseParallel(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil {
+		return 0, fmt.Errorf("parallel: %q is not an integer", s)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("parallel: worker count must be >= 0, got %d", n)
+	}
+	return n, nil
+}
 
 // BuildImage constructs a function's snapshot memory image directly
 // (the fast path used by the experiment harness).
@@ -227,13 +239,14 @@ type (
 // RunWaves runs repeated bursts of cold starts of one function on one
 // host, with sandbox teardown between bursts (steady-state scenario).
 func RunWaves(fn Function, scheme Scheme, waves, perWave int, gap time.Duration, dev DeviceParams) (*WavesResult, error) {
-	return experiments.RunWaves(fn, scheme, waves, perWave, gap, dev)
+	return experiments.RunWaves(fn, scheme, waves, gap, experiments.Config{N: perWave, Device: dev})
 }
 
-// RunMixed runs sandboxes of several different functions concurrently
-// on one shared host (co-location scenario).
+// RunMixed runs perFn sandboxes (0 means 1) of each of several
+// different functions concurrently on one shared host (co-location
+// scenario). A negative perFn or a function listed twice is an error.
 func RunMixed(fns []Function, scheme Scheme, perFn int, dev DeviceParams) (*MixedResult, error) {
-	return experiments.RunMixed(fns, scheme, perFn, dev)
+	return experiments.RunMixed(fns, scheme, experiments.Config{N: perFn, Device: dev})
 }
 
 // Experiment identifies one reproducible table or figure.
