@@ -63,7 +63,6 @@ func main() {
 		fitnessOut = flag.String("fitness-out", "results/fitness.json", "where -fitness writes its JSON verdict")
 		replayFns  = flag.String("replay", "", "comma-separated function names: counterfactual prefetch-decision replay instead of experiments")
 		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one")
-		absintRep  = flag.Bool("absint-report", false, "print the abstract-interpretation report for the built-in eBPF programs and exit")
 		storeTier  = flag.String("store", "", "snapshot tier for every experiment: local, warm, cold (empty = local SSD)")
 		fetchPol   = flag.String("fetch-policy", "", "remote chunk fetch policy: demand, full, wslazy (empty = demand)")
 		hostsN     = flag.Int("hosts", 0, "cluster experiment: region size in hosts (0 = default 4)")
@@ -73,13 +72,6 @@ func main() {
 	flag.Parse()
 	if *parallel < 0 {
 		fatal(fmt.Errorf("-parallel must be >= 0, got %d", *parallel))
-	}
-
-	if *absintRep {
-		if err := writeAbsintReport(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	all := experiments.All()

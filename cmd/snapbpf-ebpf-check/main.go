@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"snapbpf/internal/core"
@@ -24,20 +26,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: snapbpf-ebpf-check [-disasm]\n")
 		os.Exit(2)
 	}
+	if err := writeReport(os.Stdout, *disasm); err != nil {
+		fmt.Fprintf(os.Stderr, "snapbpf-ebpf-check: FAIL: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// writeReport prints the report for every built-in program, each
+// followed by its disassembly when disasm is set, and fails when any
+// program is rejected or has an unproven access.
+func writeReport(w io.Writer, disasm bool) error {
 	failed := false
 	for _, bp := range core.BuiltinPrograms() {
 		r := bp.VM.Analyze(bp.Insns)
-		unproven := ebpf.WriteAbsintReport(os.Stdout, bp.Name, bp.Insns, r)
-		if *disasm {
-			fmt.Println(ebpf.Disassemble(bp.Insns))
+		unproven := ebpf.WriteAbsintReport(w, bp.Name, bp.Insns, r)
+		if disasm {
+			fmt.Fprintln(w, ebpf.Disassemble(bp.Insns))
 		}
 		if !r.OK || unproven > 0 {
 			failed = true
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "snapbpf-ebpf-check: FAIL: unproven accesses or rejected programs")
-		os.Exit(1)
+		return errors.New("unproven accesses or rejected programs")
 	}
+	return nil
 }

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestAbsintReportOutput checks the -absint-report path: both built-in
-// programs appear, both verify, and the capture program carries a
-// finite worst-case bound.
+// TestAbsintReportOutput checks the report: both built-in programs
+// appear, both verify, the capture program carries a finite
+// worst-case bound and the prefetch program an unbounded one.
 func TestAbsintReportOutput(t *testing.T) {
 	var sb strings.Builder
-	if err := writeAbsintReport(&sb); err != nil {
+	if err := writeReport(&sb, false); err != nil {
 		t.Fatalf("built-in programs must verify cleanly: %v", err)
 	}
 	out := sb.String()

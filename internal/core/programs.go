@@ -9,7 +9,7 @@ import "snapbpf/internal/ebpf"
 // BuiltinProgram is one kernel-side SnapBPF program paired with a VM
 // whose map and helper tables match what attachCapture/armPrefetch
 // register at runtime, so static analysis sees the real load
-// environment. Used by snapbpf-ebpf-check and -absint-report.
+// environment. Used by snapbpf-ebpf-check and BenchmarkVerify.
 type BuiltinProgram struct {
 	Name  string
 	VM    *ebpf.VM

@@ -62,11 +62,11 @@ type Result struct {
 	// execution can take. Only jumps with at least one dead edge
 	// appear.
 	Branches map[int]Branch
-	// WorstCase is the maximum number of instructions any run can
-	// execute (the interpreter's budget-step count), or -1 when the
-	// analysis cannot bound it.
-	WorstCase int64
-	Findings  []Finding
+	Findings []Finding
+
+	// a keeps the fixpoint states for WorstCase; nil when the
+	// analysis stopped before the fixpoint.
+	a *analysis
 }
 
 // state is the abstract machine state at one program point.
@@ -128,7 +128,7 @@ const widenAfter = 8
 // full result. It never panics on malformed input; anything it cannot
 // decode or prove turns into findings and a non-OK result.
 func Analyze(insns []Insn, opts Opts) *Result {
-	res := &Result{Reachable: make([]bool, len(insns)), Branches: map[int]Branch{}, WorstCase: -1}
+	res := &Result{Reachable: make([]bool, len(insns)), Branches: map[int]Branch{}}
 	fail := func(pc int, st *state, format string, args ...any) {
 		dump := "no state"
 		if st != nil {
@@ -155,6 +155,7 @@ func Analyze(insns []Insn, opts Opts) *Result {
 		joins: make([]int, len(insns)),
 	}
 	a.fixpoint()
+	res.a = a
 
 	// Reachability: every pc with a fixpoint state, plus lddw upper
 	// slots riding along with their first slot.
@@ -237,9 +238,6 @@ func Analyze(insns []Insn, opts Opts) *Result {
 	}
 
 	res.OK = res.Err == nil
-	if res.OK {
-		res.WorstCase = a.worstCase()
-	}
 	return res
 }
 
@@ -340,8 +338,8 @@ func (a *analysis) checkTarget(pc, target int, st *state) *Error {
 
 // step abstractly executes the instruction at pc over st, returning
 // the feasible successors with their edge states, or the reason the
-// instruction cannot be proven safe. It mirrors both the structural
-// verifier's static checks and the interpreter's dynamic semantics.
+// instruction cannot be proven safe. It carries the verifier's static
+// checks and mirrors the interpreter's dynamic semantics.
 func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 	in := a.insns[pc]
 	fail := func(format string, args ...any) ([]succ, *Error) {
@@ -413,7 +411,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 			return fail("%s", msg)
 		}
 		// Stack contents are not tracked: a load yields an unknown
-		// scalar (never a pointer, matching the structural verifier).
+		// scalar (never a pointer).
 		st.regs[in.Dst] = unknownScalar()
 		return one(pc + 1)
 
@@ -498,7 +496,7 @@ func (a *analysis) stepCall(pc int, st state) ([]succ, *Error) {
 		}
 	}
 	// The interpreter clobbers R1–R5 with a poison constant; as a
-	// policy matter (matching the structural verifier) the argument
+	// policy matter (matching the kernel verifier) the argument
 	// registers become unreadable rather than known-poison, so
 	// post-call reads of dead args stay rejected.
 	st.regs[0] = unknownScalar()
@@ -631,7 +629,7 @@ func (a *analysis) aluXfer(in Insn, st state) Val {
 	case OpMov:
 		if !in.usesRegSrc() {
 			// A constant move that names a registered map becomes a
-			// map reference, as in the structural verifier.
+			// map reference (the kernel's CONST_PTR_TO_MAP).
 			if a.isMapFD(int64(in.Imm)) {
 				return mapConstVal(int64(in.Imm))
 			}

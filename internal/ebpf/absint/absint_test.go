@@ -53,8 +53,8 @@ func wantReject(t *testing.T, frag string, insns []Insn) *Result {
 
 func TestAnalyzeTrivial(t *testing.T) {
 	r := wantOK(t, []Insn{mov64(0, 7), exit()})
-	if r.WorstCase != 2 {
-		t.Fatalf("worst case = %d, want 2", r.WorstCase)
+	if r.WorstCase() != 2 {
+		t.Fatalf("worst case = %d, want 2", r.WorstCase())
 	}
 	if len(r.Branches) != 0 {
 		t.Fatalf("unexpected branch facts: %v", r.Branches)
@@ -76,8 +76,8 @@ func TestAnalyzeDeadFallEdge(t *testing.T) {
 	if r.Reachable[2] {
 		t.Fatal("pc 2 should be unreachable")
 	}
-	if r.WorstCase != 3 {
-		t.Fatalf("worst case = %d, want 3", r.WorstCase)
+	if r.WorstCase() != 3 {
+		t.Fatalf("worst case = %d, want 3", r.WorstCase())
 	}
 	var kinds []string
 	for _, f := range r.Findings {
@@ -138,8 +138,8 @@ func TestAnalyzeBoundedLoopExactCost(t *testing.T) {
 		exit(),
 	})
 	// 1 (mov) + 10*(add+jlt) + 1 (mov) + 1 (exit) = 23
-	if r.WorstCase != 23 {
-		t.Fatalf("worst case = %d, want 23", r.WorstCase)
+	if r.WorstCase() != 23 {
+		t.Fatalf("worst case = %d, want 23", r.WorstCase())
 	}
 }
 
@@ -160,8 +160,8 @@ func TestAnalyzeVariableOffsetStackAccess(t *testing.T) {
 		exit(),
 	}
 	r := wantOK(t, prog)
-	if r.WorstCase != 3+64*8 {
-		t.Fatalf("worst case = %d, want %d", r.WorstCase, 3+64*8)
+	if r.WorstCase() != 3+64*8 {
+		t.Fatalf("worst case = %d, want %d", r.WorstCase(), 3+64*8)
 	}
 	// One byte past the frame: the same program with 65 iterations
 	// writes through fp+8 and must be rejected.
@@ -179,8 +179,8 @@ func TestAnalyzeUnboundedLoop(t *testing.T) {
 		jmp(OpJne, 6, 0, -2),
 		exit(),
 	})
-	if r.WorstCase != -1 {
-		t.Fatalf("worst case = %d, want -1 (unbounded)", r.WorstCase)
+	if r.WorstCase() != -1 {
+		t.Fatalf("worst case = %d, want -1 (unbounded)", r.WorstCase())
 	}
 }
 
@@ -353,8 +353,8 @@ func TestAnalyzeWideningConverges(t *testing.T) {
 		jmpr(OpJne, 6, 1, -2), // compare against unknown r1
 		exit(),
 	})
-	if r.WorstCase != -1 {
-		t.Fatalf("worst case = %d, want -1", r.WorstCase)
+	if r.WorstCase() != -1 {
+		t.Fatalf("worst case = %d, want -1", r.WorstCase())
 	}
 }
 

@@ -17,10 +17,16 @@ import (
 // analysis gives up and reports the cost as unbounded.
 const costNodeCap = 1 << 15
 
-// worstCase returns the maximum number of budget steps any execution
-// can take, or -1 when unbounded (or too costly to bound). Only
-// called on an OK analysis, so step never errors on fixpoint states.
-func (a *analysis) worstCase() int64 {
+// WorstCase returns the maximum number of instructions any run can
+// execute (the interpreter's budget-step count), or -1 when the
+// program is rejected or the analysis cannot bound it. It is computed
+// on each call from the fixpoint states, so loading a program never
+// pays for it; only report mode and tests ask.
+func (r *Result) WorstCase() int64 {
+	if !r.OK {
+		return -1
+	}
+	a := r.a
 	// Feasible pc-level successor sets from the fixpoint states.
 	succs := make([][]int, len(a.insns))
 	for pc := range a.insns {

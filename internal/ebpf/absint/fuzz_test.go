@@ -50,8 +50,7 @@ func FuzzAbsint(f *testing.F) {
 		}
 
 		// Interpreter run, observing every conditional edge taken.
-		// Analysis acceptance implies Verify acceptance (the verifier
-		// falls back to the same analysis), so Load must succeed.
+		// Verify is this same analysis, so Load must succeed.
 		p, err := vm.Load("absint-fuzz", insns)
 		if err != nil {
 			t.Fatalf("analysis accepted but Load failed: %v\n%s",
@@ -76,10 +75,10 @@ func FuzzAbsint(f *testing.F) {
 
 		// A finite worst case within the budget means the run may not
 		// die on the dynamic budget check.
-		if r.WorstCase >= 0 && r.WorstCase <= absint.InsnBudget &&
+		if wc := r.WorstCase(); wc >= 0 && wc <= absint.InsnBudget &&
 			runErr != nil && strings.Contains(runErr.Error(), "instruction budget") {
 			t.Fatalf("worst case %d within budget but run aborted: %v\n%s",
-				r.WorstCase, runErr, ebpf.Disassemble(insns))
+				wc, runErr, ebpf.Disassemble(insns))
 		}
 	})
 }

@@ -3,9 +3,9 @@ package absint_test
 import "snapbpf/internal/ebpf"
 
 // fuzzSeeds returns the seed corpus for FuzzAbsint: programs shaped
-// to exercise the analysis features that differ from the structural
-// verifier — dead branches, bounded loops, variable-offset stack
-// accesses, map helper calls and 32-bit jump feasibility.
+// to exercise the analysis features a type-only verifier lacks — dead
+// branches, bounded loops, variable-offset stack accesses, map helper
+// calls and 32-bit jump feasibility.
 func fuzzSeeds() [][]ebpf.Instruction {
 	mov := func(dst ebpf.Register, imm int32) ebpf.Instruction {
 		return ebpf.Instruction{Op: ebpf.ClassALU64 | ebpf.OpMov | ebpf.SrcK, Dst: dst, Imm: imm}
@@ -36,8 +36,8 @@ func fuzzSeeds() [][]ebpf.Instruction {
 			mov(ebpf.R0, 2),
 			exit,
 		},
-		// Bounded counting loop: rejected structurally (back edge),
-		// proven terminating by the analysis.
+		// Bounded counting loop: a back edge the analysis proves
+		// terminating.
 		{
 			mov(ebpf.R0, 0),
 			alu(ebpf.OpAdd, ebpf.R0, 1),

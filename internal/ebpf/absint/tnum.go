@@ -2,8 +2,10 @@
 // the SnapBPF eBPF dialect. It tracks, per register, a tnum
 // (known-bits) domain plus signed and unsigned interval bounds and
 // pointer provenance, runs a worklist fixpoint over the basic-block
-// CFG, evaluates branch feasibility, and derives a static worst-case
-// instruction bound for bounded programs.
+// CFG, and evaluates branch feasibility; it is the whole of
+// ebpf.Verify. On request (Result.WorstCase) it derives a static
+// worst-case instruction bound for bounded programs from the kept
+// fixpoint states.
 //
 // The package is a leaf: it deliberately does not import
 // internal/ebpf (which consumes it from the verifier).

@@ -7,8 +7,8 @@ import (
 )
 
 // Kind is the provenance of an abstract register value, mirroring the
-// structural verifier's lattice (and the kernel's reg type) with the
-// scalar kind carrying full tnum + interval facts.
+// kernel's reg type, with the scalar kind carrying full tnum +
+// interval facts.
 type Kind uint8
 
 const (

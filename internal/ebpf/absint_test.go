@@ -77,7 +77,8 @@ func TestAbsintConstsMatch(t *testing.T) {
 // evictionScanProgram is the headline program class the analysis
 // unlocks: a bounded loop writing every slot of the frame through a
 // computed (variable-offset) stack pointer — the shape of a warm-pool
-// eviction scan. The structural verifier cannot accept either feature.
+// eviction scan. A verifier that tracks only register types and
+// constant offsets cannot accept either feature.
 func evictionScanProgram() []Instruction {
 	b := NewBuilder()
 	b.Mov64Imm(R6, 0).
@@ -95,27 +96,24 @@ func evictionScanProgram() []Instruction {
 	return b.MustProgram()
 }
 
-// TestAbsintEvictionScan is the acceptance test for the two-tier
-// verifier: the eviction-scan loop is structurally rejected, accepted
-// by the abstract interpreter with an exact worst-case cost, and runs
-// to the right answer.
+// TestAbsintEvictionScan is the acceptance test for bounded loops: the
+// eviction-scan loop, whose store offset varies with the induction
+// variable, is accepted with an exact worst-case cost and runs to the
+// right answer.
 func TestAbsintEvictionScan(t *testing.T) {
 	vm := NewVM()
 	insns := evictionScanProgram()
 
-	if err := verifyStructural(insns, vm); err == nil {
-		t.Fatal("structural verifier unexpectedly accepted the bounded loop")
-	}
 	r := vm.Analyze(insns)
 	if !r.OK {
 		t.Fatalf("analysis rejected: %v", r.Err)
 	}
 	// 3 straight-line insns + 64 iterations of the 8-insn loop body.
-	if want := int64(3 + 64*8); r.WorstCase != want {
-		t.Fatalf("worst case %d, want %d", r.WorstCase, want)
+	if want := int64(3 + 64*8); r.WorstCase() != want {
+		t.Fatalf("worst case %d, want %d", r.WorstCase(), want)
 	}
 	if err := Verify(insns, vm); err != nil {
-		t.Fatalf("two-tier Verify rejected: %v", err)
+		t.Fatalf("Verify rejected: %v", err)
 	}
 
 	if got, err := vm.MustLoad("scan", insns).Run(nil); err != nil {
@@ -131,8 +129,8 @@ func TestAbsintEvictionScan(t *testing.T) {
 func TestAbsintPrunedLoopSkipsBudget(t *testing.T) {
 	vm := NewVM()
 	insns := evictionScanProgram()
-	if r := vm.Analyze(insns); !r.OK || r.WorstCase < 0 || r.WorstCase >= InsnBudget {
-		t.Fatalf("proven-bounded loop: ok=%v worst case %d", r.OK, r.WorstCase)
+	if r := vm.Analyze(insns); !r.OK || r.WorstCase() < 0 || r.WorstCase() >= InsnBudget {
+		t.Fatalf("proven-bounded loop: ok=%v worst case %d", r.OK, r.WorstCase())
 	}
 	p, err := vm.Load("scan", insns)
 	if err != nil {
@@ -148,8 +146,7 @@ func TestAbsintPrunedLoopSkipsBudget(t *testing.T) {
 }
 
 // deadRegionProgram jumps over a statically dead region containing an
-// instruction the structural verifier rejects: r1 is forced to 3, so
-// the jeq is always taken.
+// invalid instruction: r1 is forced to 3, so the jeq is always taken.
 func deadRegionProgram() []Instruction {
 	return []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 3},
@@ -163,14 +160,11 @@ func deadRegionProgram() []Instruction {
 }
 
 // TestAbsintPruneDeadRegion: a program whose only invalid
-// instructions are statically dead is accepted by the two-tier
-// verifier and runs without ever reaching them.
+// instructions are statically dead is accepted by the verifier and
+// runs without ever reaching them.
 func TestAbsintPruneDeadRegion(t *testing.T) {
 	vm := NewVM()
 	insns := deadRegionProgram()
-	if err := verifyStructural(insns, vm); err == nil {
-		t.Fatal("structural verifier unexpectedly accepted dead invalid code")
-	}
 	r := vm.Analyze(insns)
 	if !r.OK {
 		t.Fatalf("analysis rejected: %v", r.Err)
@@ -260,10 +254,9 @@ func TestInterpBranches(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsWhatAbsintCannotProve: the two-tier verifier must
-// surface the original structural error when the analysis cannot
-// prove the program safe — here an unbounded loop and an
-// out-of-frame variable store.
+// TestVerifyRejectsWhatAbsintCannotProve: an unbounded loop loads but
+// carries no cost bound, and an out-of-frame variable store is
+// rejected at the store with the analysis' reason.
 func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	vm := NewVM()
 	// An unbounded loop is accepted (the seed contract: dynamic
@@ -277,8 +270,8 @@ func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 	if err := Verify(unbounded, vm); err != nil {
 		t.Fatalf("unbounded loop rejected (seed contract allows it): %v", err)
 	}
-	if r := vm.Analyze(unbounded); r.OK && r.WorstCase != -1 {
-		t.Fatalf("unbounded loop got finite worst case %d", r.WorstCase)
+	if r := vm.Analyze(unbounded); r.OK && r.WorstCase() != -1 {
+		t.Fatalf("unbounded loop got finite worst case %d", r.WorstCase())
 	}
 	p, err := vm.Load("unbounded", unbounded)
 	if err != nil {
@@ -296,10 +289,11 @@ func TestVerifyRejectsWhatAbsintCannotProve(t *testing.T) {
 			bad[i].Imm = 66
 		}
 	}
-	if err := Verify(bad, vm); err == nil {
+	err = Verify(bad, vm)
+	if err == nil {
 		t.Fatal("out-of-frame variable store accepted")
-	} else if !strings.Contains(err.Error(), "scalar register") {
-		// The surfaced error is the structural one.
-		t.Fatalf("unexpected error: %v", err)
+	}
+	if ve, ok := err.(*VerifyError); !ok || ve.PC != 6 || !strings.Contains(ve.Msg, "not provably in frame") {
+		t.Fatalf("want rejection at the store (pc 6), got %v", err)
 	}
 }

@@ -27,7 +27,7 @@ func absInsns(insns []Instruction) []absint.Insn {
 }
 
 // absintOpts adapts a helper resolver into the analyzer's environment
-// callbacks, mirroring exactly what the structural verifier consults.
+// callbacks: which call targets resolve and which constants name maps.
 func absintOpts(res helperResolver) absint.Opts {
 	var opts absint.Opts
 	if res != nil {
@@ -45,7 +45,7 @@ func absintOpts(res helperResolver) absint.Opts {
 			return ok
 		}
 		// Map-helper argument discipline is only enforced when maps
-		// can be resolved at all, matching the structural pass.
+		// can be resolved at all.
 		opts.MapHelper = isMapHelper
 	}
 	return opts
@@ -57,18 +57,18 @@ func analyzeProgram(insns []Instruction, res helperResolver) *absint.Result {
 }
 
 // WriteAbsintReport renders an analysis result as the human-readable
-// static-analysis report shared by `snapbpf-bench -absint-report` and
-// `snapbpf-ebpf-check`: verdict, worst-case cost, then every finding
-// with its disassembled instruction. It returns the number of
-// unproven accesses (the contract `snapbpf-ebpf-check` enforces).
+// static-analysis report `snapbpf-ebpf-check` prints: verdict,
+// worst-case cost, then every finding with its disassembled
+// instruction. It returns the number of unproven accesses (the
+// contract `snapbpf-ebpf-check` enforces).
 func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *absint.Result) int {
 	verdict := "OK"
 	if !r.OK {
 		verdict = "REJECTED"
 	}
 	fmt.Fprintf(w, "program %s: %s, %d insns", name, verdict, len(insns))
-	if r.WorstCase >= 0 {
-		fmt.Fprintf(w, ", worst case %d insns", r.WorstCase)
+	if wc := r.WorstCase(); wc >= 0 {
+		fmt.Fprintf(w, ", worst case %d insns", wc)
 	} else {
 		fmt.Fprintf(w, ", worst case unbounded (dynamic budget applies)")
 	}
@@ -92,8 +92,9 @@ func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *absint.
 
 // Analyze runs the abstract interpreter over insns in this VM's
 // helper/map environment and returns the full result: reachability,
-// per-branch feasibility, findings, and the static worst-case
-// instruction bound. It does not require the program to pass Verify.
+// per-branch feasibility, findings, and (through Result.WorstCase) the
+// static worst-case instruction bound. It is the analysis Verify runs,
+// and it does not require the program to pass.
 func (vm *VM) Analyze(insns []Instruction) *absint.Result {
 	return analyzeProgram(insns, vm)
 }

@@ -1,7 +1,8 @@
 // Package ebpf implements the eBPF execution environment that SnapBPF
 // attaches to the simulated kernel: a bytecode ISA mirroring the Linux
-// encoding, an assembler, a classic verifier, an interpreter, hash and
-// array maps, and a helper/kfunc registry.
+// encoding, an assembler, a verifier that is one abstract
+// interpretation (tnums plus ranges, in internal/ebpf/absint), an
+// interpreter, hash and array maps, and a helper/kfunc registry.
 //
 // The SnapBPF capture and prefetch mechanisms (§3.1 of the paper) are
 // written as real programs in this ISA: they are assembled with
@@ -30,11 +31,12 @@
 //     reference in R1, in-frame stack pointers for key/value), so a
 //     clobbered register can never reach bpf_map_*_elem — a property
 //     the package's verifier-soundness fuzzer exercises.
-//   - The verifier is a fixpoint dataflow analysis that permits
-//     loops (the paper targets Linux 6.3, whose verifier accepts
-//     bounded loops); runaway loops are cut off at run time by the
-//     interpreter's instruction budget, the analogue of the kernel's
-//     1M-instruction complexity bound.
+//   - The verifier joins states at merge points and widens them to a
+//     fixpoint instead of exploring each path, and it permits loops
+//     it cannot bound (the paper targets Linux 6.3, whose verifier
+//     accepts bounded loops); runaway loops are cut off at run time by
+//     the interpreter's instruction budget, the analogue of the
+//     kernel's 1M-instruction complexity bound.
 //
 // Everything else — the register file and calling convention, the
 // 512-byte stack, the instruction encoding and semantics (including

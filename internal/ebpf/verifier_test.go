@@ -138,10 +138,10 @@ func TestVerifyJumpOutOfBounds(t *testing.T) {
 }
 
 func TestVerifyStackOutOfBounds(t *testing.T) {
-	wantReject(t, "out of frame", func(b *Builder) {
+	wantReject(t, "not provably in frame", func(b *Builder) {
 		b.Mov64Imm(R2, 1).StxDW(R10, -520, R2).Mov64Imm(R0, 0).Exit()
 	})
-	wantReject(t, "out of frame", func(b *Builder) {
+	wantReject(t, "not provably in frame", func(b *Builder) {
 		b.Mov64Imm(R2, 1).StxDW(R10, 0, R2).Mov64Imm(R0, 0).Exit() // [fp, fp+8) above frame
 	})
 }
@@ -179,7 +179,7 @@ func TestVerifyPointerArithmeticTracked(t *testing.T) {
 		t.Fatalf("valid pointer arithmetic rejected: %v", err)
 	}
 	// fp+8: out of frame even through a copy.
-	wantReject(t, "out of frame", func(b *Builder) {
+	wantReject(t, "not provably in frame", func(b *Builder) {
 		b.Mov64Reg(R6, R10).Add64Imm(R6, 8).
 			Mov64Imm(R2, 5).StxDW(R6, 0, R2).
 			Mov64Imm(R0, 0).Exit()

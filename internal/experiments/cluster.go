@@ -127,6 +127,7 @@ func Cluster(o Options) (*Table, error) {
 			Faults:    o.Faults,
 			Check:     o.Check,
 			Obs:       o.Obs,
+			Store:     o.Store,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster %s/ka=%d: %w", c.router, c.budget, err)

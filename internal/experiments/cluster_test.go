@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"snapbpf/internal/cluster"
+	"snapbpf/internal/obs"
+	"snapbpf/internal/store"
 	"snapbpf/internal/units"
 	"snapbpf/internal/workload"
 )
@@ -181,6 +183,35 @@ func cheapClusterOptions(p ClusterParams) Options {
 	p.Routers = []cluster.RouterKind{cluster.RouterAffinity}
 	p.Budgets = []int{2}
 	return Options{Parallel: 1, Cluster: &p}
+}
+
+// The -store/-fetch-policy flags must reach every cluster host: with
+// the snapshot in the cold tier, hosts fetch chunks from the shared
+// remote, the checker stays clean, and the latencies move off the
+// local-SSD run's.
+func TestClusterHonorsStore(t *testing.T) {
+	local, err := Cluster(cheapClusterOptions(ClusterParams{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := cheapClusterOptions(ClusterParams{})
+	o.Check = true
+	o.Store = &store.Setup{Tier: store.TierCold, Policy: store.PolicyDemand}
+	o.Obs = &obs.Config{Metrics: true}
+	var fetches int64
+	o.ObsSinkNamed = func(name string, rep *obs.Report) {
+		fetches += mustCounter(t, rep.Metrics(), "snapbpf_store_fetches_total")
+	}
+	remote, err := Cluster(o) // Check fails the run on any violation
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fetches == 0 {
+		t.Error("cold-tier cluster run fetched no chunks from the remote")
+	}
+	if remote.CSV() == local.CSV() {
+		t.Errorf("cold-tier cluster CSV is identical to the local-SSD run:\n%s", local.CSV())
+	}
 }
 
 // Permuting tenant declaration order must leave the CSV byte-identical:
