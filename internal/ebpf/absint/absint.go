@@ -117,6 +117,9 @@ type analysis struct {
 	hi    []bool // second slots of lddw pairs, as the decoder sees them
 	seen  []*state
 	joins []int // changed-join count per pc, for widening
+	// out backs the successor slice step returns, so the fixpoint
+	// allocates no slice per step.
+	out [2]succ
 }
 
 // widenAfter is how many changed joins a program point absorbs before
@@ -339,7 +342,8 @@ func (a *analysis) checkTarget(pc, target int, st *state) *Error {
 // step abstractly executes the instruction at pc over st, returning
 // the feasible successors with their edge states, or the reason the
 // instruction cannot be proven safe. It carries the verifier's static
-// checks and mirrors the interpreter's dynamic semantics.
+// checks and mirrors the interpreter's dynamic semantics. The returned
+// slice aliases a.out: the next step call overwrites it.
 func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 	in := a.insns[pc]
 	fail := func(format string, args ...any) ([]succ, *Error) {
@@ -352,7 +356,8 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		if err := a.checkTarget(pc, target, &st); err != nil {
 			return nil, err
 		}
-		return []succ{{pc: target, st: st}}, nil
+		a.out[0] = succ{pc: target, st: st}
+		return a.out[:1], nil
 	}
 
 	switch in.class() {
@@ -506,7 +511,8 @@ func (a *analysis) stepCall(pc int, st state) ([]succ, *Error) {
 	if err := a.checkTarget(pc, pc+1, &st); err != nil {
 		return nil, err
 	}
-	return []succ{{pc: pc + 1, st: st}}, nil
+	a.out[0] = succ{pc: pc + 1, st: st}
+	return a.out[:1], nil
 }
 
 func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
@@ -546,10 +552,10 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 		}
 	}
 
-	edge := func(target int, taken bool) (*succ, *Error, bool) {
+	edge := func(target int, taken bool) (succ, *Error, bool) {
 		nd, ns, feasible := refineCond(op, d, s, taken)
 		if !feasible {
-			return nil, nil, false
+			return succ{}, nil, false
 		}
 		est := st
 		if !j32 {
@@ -563,12 +569,12 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 			}
 		}
 		if err := a.checkTarget(pc, target, &est); err != nil {
-			return nil, err, true
+			return succ{}, err, true
 		}
-		return &succ{pc: target, st: est}, nil, true
+		return succ{pc: target, st: est}, nil, true
 	}
 
-	var succs []succ
+	succs := a.out[:0]
 	takenSucc, errT, feasT := edge(pc+1+int(in.Off), true)
 	fallSucc, errF, feasF := edge(pc+1, false)
 	if !feasT && !feasF {
@@ -581,19 +587,20 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 		if err := a.checkTarget(pc, pc+1, &est); err != nil {
 			return nil, err
 		}
-		return []succ{{pc: pc + 1 + int(in.Off), st: st}, {pc: pc + 1, st: st}}, nil
+		a.out = [2]succ{{pc: pc + 1 + int(in.Off), st: st}, {pc: pc + 1, st: st}}
+		return a.out[:], nil
 	}
 	if feasT {
 		if errT != nil {
 			return nil, errT
 		}
-		succs = append(succs, *takenSucc)
+		succs = append(succs, takenSucc)
 	}
 	if feasF {
 		if errF != nil {
 			return nil, errF
 		}
-		succs = append(succs, *fallSucc)
+		succs = append(succs, fallSucc)
 	}
 	return succs, nil
 }

@@ -133,6 +133,7 @@ func (c *costDFS) visit(pc int, st state) int64 {
 		// cannot happen on an OK analysis; degrade to unbounded.
 		return -1
 	}
+	succs = append([]succ(nil), succs...) // the recursion reuses step's buffer
 	c.gray[key] = true
 	var worst int64
 	for _, s := range succs {
