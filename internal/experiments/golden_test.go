@@ -165,3 +165,45 @@ func TestGoldenOverheads(t *testing.T) {
 		t.Errorf("overheads CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenOverheadsCSV)
 	}
 }
+
+// The chaos and drift pins cover the two userfaultfd schemes' E2E,
+// read retries and demand-paging fallbacks, which no other golden
+// does byte for byte.
+const goldenChaosCSV = `Function,Scheme,healthy,light,heavy,slowdown,inj,retry,fb
+json,Linux-RA,0.204,0.254,0.895,4.39,150,25,0
+json,REAP,0.639,1.215,10.562,16.53,11104,1806,3
+json,Faast,0.500,0.922,8.150,16.31,8595,1365,3
+json,FaaSnap,0.125,0.175,0.671,5.38,2285,371,3
+json,SnapBPF,0.116,0.116,0.328,2.83,2158,351,2
+`
+
+const goldenAblationDriftCSV = `Function,REAP,REAP+drift,Faast,Faast+drift,SnapBPF,SnapBPF+drift
+image,0.739,1.095,0.787,0.787,0.343,0.343
+json,0.114,0.372,0.116,0.116,0.116,0.116
+`
+
+func TestGoldenChaos(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning is value-level; the non-race suite covers it")
+	}
+	tbl, err := Chaos(Options{Functions: goldenJSONOnly(t), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.CSV(); got != goldenChaosCSV {
+		t.Errorf("chaos CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenChaosCSV)
+	}
+}
+
+func TestGoldenAblationDrift(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning is value-level; the non-race suite covers it")
+	}
+	tbl, err := AblationDrift(Options{Functions: goldenFunctions(t), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.CSV(); got != goldenAblationDriftCSV {
+		t.Errorf("ablation-drift CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenAblationDriftCSV)
+	}
+}
