@@ -34,9 +34,6 @@ type FaaSnap struct {
 	// values mean fewer mmap regions but a more inflated WS file.
 	CoalesceGap int64
 
-	// ChunkPages is the prefetch thread's buffered-read size.
-	ChunkPages int64
-
 	ws          *snapshot.RegionWS
 	wsInode     *pagecache.Inode
 	zeroRegions []snapshot.Group
@@ -44,7 +41,7 @@ type FaaSnap struct {
 
 // New returns FaaSnap with the paper's configuration.
 func New() *FaaSnap {
-	return &FaaSnap{CoalesceGap: DefaultCoalesceGap, ChunkPages: 128}
+	return &FaaSnap{CoalesceGap: DefaultCoalesceGap}
 }
 
 // Name implements prefetch.Prefetcher.
@@ -171,18 +168,15 @@ func (f *FaaSnap) PrepareVM(p *sim.Proc, env *prefetch.Env, vm *vmm.MicroVM) err
 		fileOff += reg.NPages
 	}
 
-	wsInode, total, chunk := f.wsInode, f.ws.TotalPages(), f.ChunkPages
+	wsInode, total := f.wsInode, f.ws.TotalPages()
 	env.Host.Eng.Go(vm.Name+"-faasnap-prefetch", func(pp *sim.Proc) {
-		for base := int64(0); base < total; base += chunk {
-			l := chunk
-			if base+l > total {
-				l = total - base
-			}
+		for base := int64(0); base < total; base += prefetch.ChunkPages {
+			n := min(prefetch.ChunkPages, total-base)
 			// Buffered reads through the page cache: this is what
 			// enables cross-sandbox dedup, at the cost of the
 			// userspace copy per page.
-			env.NotifyPrefetchIssued(pp, f.Name(), vm, base, l)
-			wsInode.BufferedRead(pp, base, l)
+			env.NotifyPrefetchIssued(pp, f.Name(), vm, base, n)
+			wsInode.BufferedRead(pp, base, n)
 		}
 	})
 	env.NotifyPrepareDone(f.Name(), vm)

@@ -4,184 +4,15 @@
 // over the guest kernel allocator's metadata that identifies frames
 // free at snapshot time, so faults on them are served with zero pages
 // (UFFDIO_ZEROPAGE) instead of stale snapshot reads.
+//
+// The mechanism is REAP's; Faast is its configuration with the
+// free-frame filter (reap.NewFaast).
 package faast
 
-import (
-	"fmt"
-
-	"snapbpf/internal/faults"
-	"snapbpf/internal/pagecache"
-	"snapbpf/internal/prefetch"
-	"snapbpf/internal/sim"
-	"snapbpf/internal/snapshot"
-	"snapbpf/internal/vmm"
-)
+import "snapbpf/internal/prefetch/reap"
 
 // Faast is the userfaultfd + allocator-metadata baseline.
-type Faast struct {
-	// ChunkPages is the working-set prefetch read size in pages.
-	ChunkPages int64
-
-	ws      *snapshot.PagedWS
-	wsInode *pagecache.Inode
-	freeSet map[int64]bool
-}
+type Faast = reap.REAP
 
 // New returns Faast with its default configuration.
-func New() *Faast {
-	return &Faast{ChunkPages: 128}
-}
-
-// Name implements prefetch.Prefetcher.
-func (f *Faast) Name() string { return "Faast" }
-
-// Capabilities implements prefetch.Prefetcher (Table 1 row).
-func (f *Faast) Capabilities() prefetch.Capabilities {
-	return prefetch.Capabilities{
-		Mechanism:             "Userfaultfd (User-space)",
-		OnDiskWSSerialization: true,
-		NeedsSnapshotScan:     true, // allocator-metadata pre-processing
-	}
-}
-
-// RestoreConfig implements prefetch.Prefetcher: stock guest.
-func (f *Faast) RestoreConfig(salt int) vmm.RestoreConfig {
-	return vmm.RestoreConfig{AllocSalt: salt}
-}
-
-// WorkingSet exposes the recorded artifact.
-func (f *Faast) WorkingSet() *snapshot.PagedWS { return f.ws }
-
-// scanMetadata is the snapshot pre-processing pass: it walks the guest
-// allocator metadata embedded in the snapshot and builds the free-frame
-// set (§2.2: "Faast relies on the allocator metadata of the VM kernel
-// to identify pages that are not actively used in the snapshot").
-func (f *Faast) scanMetadata(env *prefetch.Env) {
-	f.freeSet = make(map[int64]bool, len(env.Image.FreePFNs))
-	for _, pfn := range env.Image.FreePFNs {
-		f.freeSet[pfn] = true
-	}
-}
-
-// Record implements prefetch.Prefetcher: like REAP, but faults on
-// metadata-free frames are served with zero pages and never enter the
-// working set.
-func (f *Faast) Record(p *sim.Proc, env *prefetch.Env) error {
-	f.scanMetadata(env)
-	vm, err := env.Host.Restore(p, env.Fn.Name+"-faast-record", env.Fn, env.Image, env.SnapInode,
-		vmm.RestoreConfig{AllocSalt: 0})
-	if err != nil {
-		return err
-	}
-	vma := vm.AS.MMapAnon(p, 0, env.Image.NrPages)
-	u := vm.AS.RegisterUffd(vma)
-
-	var order []int64
-	u.Handler = func(hp *sim.Proc, page int64) {
-		if f.freeSet[page] {
-			u.ZeroPage(hp, page)
-			return
-		}
-		faults.Retry(hp, env.Faults, func(try int) error {
-			return env.SnapInode.DirectReadAttempt(hp, page, 1, try)
-		})
-		u.CopyTag(hp, page, env.Image.PageTags[page])
-		order = append(order, page)
-	}
-	vm.MarkPrepared(p)
-	if _, err := vm.Invoke(p, env.RecordTrace); err != nil {
-		return err
-	}
-	vm.Shutdown()
-
-	ws := &snapshot.PagedWS{Pages: order, Tags: make([]uint64, len(order))}
-	for i, pg := range order {
-		ws.Tags[i] = env.Image.PageTags[pg]
-	}
-	if err := ws.Validate(env.Image.NrPages); err != nil {
-		return fmt.Errorf("faast: recorded invalid working set: %w", err)
-	}
-	f.ws = ws
-	f.wsInode = env.Host.Cache.NewInode(env.Fn.Name+".faast-ws", ws.TotalPages())
-	env.NotifyArtifact(f.wsInode, ws.Tags)
-	env.NotifyRecordDone(f.Name(), ws.TotalPages())
-	return nil
-}
-
-// PrepareVM implements prefetch.Prefetcher.
-func (f *Faast) PrepareVM(p *sim.Proc, env *prefetch.Env, vm *vmm.MicroVM) error {
-	if f.ws == nil {
-		return fmt.Errorf("faast: PrepareVM before Record")
-	}
-	vma := vm.AS.MMapAnon(p, 0, env.Image.NrPages)
-	u := vm.AS.RegisterUffd(vma)
-
-	demandFetch := func(hp *sim.Proc, page int64) {
-		faults.Retry(hp, env.Faults, func(try int) error {
-			return env.SnapInode.DirectReadAttempt(hp, page, 1, try)
-		})
-		u.CopyTag(hp, page, env.Image.PageTags[page])
-	}
-
-	if env.Faults.ArtifactCorrupt() {
-		// The WS file is unreadable: degrade to demand paging. The
-		// free-frame set survives (it came from the snapshot scan, not
-		// the WS file), so metadata-free faults still get zero pages.
-		env.Faults.CountFallback()
-		env.NotifyDegraded(f.Name(), vm, "corrupt ws artifact")
-		u.Handler = func(hp *sim.Proc, page int64) {
-			if f.freeSet[page] {
-				u.ZeroPage(hp, page)
-				return
-			}
-			demandFetch(hp, page)
-		}
-		env.NotifyPrepareDone(f.Name(), vm)
-		return nil
-	}
-
-	pending := make(map[int64]*sim.Waiter, len(f.ws.Pages))
-	for _, pg := range f.ws.Pages {
-		pending[pg] = env.Host.Eng.NewWaiter()
-	}
-
-	u.Handler = func(hp *sim.Proc, page int64) {
-		if f.freeSet[page] {
-			u.ZeroPage(hp, page)
-			return
-		}
-		if w, ok := pending[page]; ok {
-			hp.Wait(w)
-			if !vm.AS.Mapped(page) {
-				u.CopyTag(hp, page, env.Image.PageTags[page])
-			}
-			return
-		}
-		demandFetch(hp, page)
-	}
-
-	ws, wsInode, chunk := f.ws, f.wsInode, f.ChunkPages
-	env.Host.Eng.Go(vm.Name+"-faast-prefetch", func(pp *sim.Proc) {
-		n := int64(len(ws.Pages))
-		for base := int64(0); base < n; base += chunk {
-			l := chunk
-			if base+l > n {
-				l = n - base
-			}
-			env.NotifyPrefetchIssued(pp, f.Name(), vm, base, l)
-			faults.Retry(pp, env.Faults, func(try int) error {
-				return wsInode.DirectReadAttempt(pp, base, l, try)
-			})
-			for i := base; i < base+l; i++ {
-				page := ws.Pages[i]
-				u.CopyTag(pp, page, ws.Tags[i])
-				pending[page].Fire()
-			}
-		}
-	})
-	env.NotifyPrepareDone(f.Name(), vm)
-	return nil
-}
-
-// FinishVM implements prefetch.Prefetcher.
-func (f *Faast) FinishVM(env *prefetch.Env, vm *vmm.MicroVM) {}
+func New() *Faast { return reap.NewFaast() }

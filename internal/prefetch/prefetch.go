@@ -182,3 +182,8 @@ type Prefetcher interface {
 	// FinishVM releases per-sandbox resources after the invocation.
 	FinishVM(env *Env, vm *vmm.MicroVM)
 }
+
+// ChunkPages is the read size in pages (512 KiB) of every userspace
+// prefetch thread that streams a working-set file: REAP's, Faast's and
+// FaaSnap's.
+const ChunkPages = 128

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snapbpf/internal/blockdev"
+	"snapbpf/internal/faults"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/vmm"
@@ -178,5 +179,62 @@ func TestBufferedModePopulatesCache(t *testing.T) {
 	// Buffered record faults snapshot pages through the cache.
 	if env.Host.Cache.NrCachedPages() == 0 {
 		t.Fatal("buffered record did not populate the cache")
+	}
+}
+
+// TestFaastCorruptArtifactServesFreeFramesZeroed drives the corrupt
+// working-set fallback: both configurations demand-page from the
+// snapshot, but Faast's free-frame set survives the lost artifact, so
+// its allocation faults get zero pages and only working-set pages
+// reach the device. REAP reads its allocation pages too.
+func TestFaastCorruptArtifactServesFreeFramesZeroed(t *testing.T) {
+	fn := tinyFn()
+	for _, r := range []*REAP{NewFaast(), New()} {
+		env := newEnv(fn)
+		record(t, r, env)
+		env.Host.Dev.ResetStats()
+		inj := faults.NewInjector(faults.Plan{Seed: 1, ArtifactCorruptionRate: 1})
+		env.Faults = inj
+
+		var anon int64
+		var err error
+		env.Host.Eng.Go("vm", func(p *sim.Proc) {
+			vm, rerr := env.Host.Restore(p, "vm0", fn, env.Image, env.SnapInode, r.RestoreConfig(0))
+			if rerr != nil {
+				err = rerr
+				return
+			}
+			if perr := r.PrepareVM(p, env, vm); perr != nil {
+				err = perr
+				return
+			}
+			if _, ierr := vm.Invoke(p, env.InvokeTrace); ierr != nil {
+				err = ierr
+				return
+			}
+			anon = vm.AS.AnonPages()
+		})
+		env.Host.Eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inj.Report().Fallbacks; got != 1 {
+			t.Fatalf("%s: fallbacks = %d, want 1", r.Name(), got)
+		}
+		wsPages := r.WorkingSet().TotalPages()
+		st := env.Host.Dev.Stats()
+		// Demand paging: one single-page snapshot read per fault, no
+		// working-set file read.
+		if st.BytesRead != st.Requests*4096 {
+			t.Fatalf("%s: %d bytes over %d requests, want single-page reads", r.Name(), st.BytesRead, st.Requests)
+		}
+		// Every fault not served from the snapshot got a zero page.
+		zeroed := anon - st.Requests
+		if r.Name() == "Faast" && (zeroed <= 0 || st.Requests != wsPages) {
+			t.Fatalf("Faast: %d zero pages, %d snapshot reads for a %d-page working set", zeroed, st.Requests, wsPages)
+		}
+		if r.Name() == "REAP" && zeroed != 0 {
+			t.Fatalf("REAP: %d zero pages without a free-frame set", zeroed)
+		}
 	}
 }
