@@ -6,9 +6,11 @@ import (
 
 	"snapbpf/internal/blockdev"
 	"snapbpf/internal/core"
+	"snapbpf/internal/obs"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
 	"snapbpf/internal/snapshot"
+	"snapbpf/internal/testbed"
 	"snapbpf/internal/units"
 	"snapbpf/internal/vmm"
 )
@@ -208,13 +210,18 @@ func ExtSnapshotCreation(o Options) (*Table, error) {
 			"stale pool (MiB)", "zero pages"},
 	}
 	fns := o.functions()
-	// Creation does not go through Run, so it fans out on the job pool
-	// directly: each job builds its own host and deposits into its slot.
+	// Creation is not a cold start, so it fans out on the job pool
+	// directly: each job arms its own host like any cell's and deposits
+	// into its slot.
 	times := make([]time.Duration, len(fns))
 	imgs := make([]*snapshot.MemoryImage, len(fns))
+	reps := make([]*obs.Report, len(fns))
+	cfg := o.config(Config{})
 	err := o.runJobs(len(fns), func(i int) error {
 		fn := fns[i]
-		h := vmm.NewHost(blockdev.MicronSATA5300())
+		h := testbed.Arm(vmm.NewHost(blockdev.MicronSATA5300()), "", testbed.Arming{
+			Faults: cfg.Faults, Check: cfg.Check, Obs: cfg.Obs,
+		})
 		var createErr error
 		h.Eng.Go("create", func(p *sim.Proc) {
 			start := p.Now()
@@ -225,10 +232,18 @@ func ExtSnapshotCreation(o Options) (*Table, error) {
 		if createErr != nil {
 			return fmt.Errorf("create %s: %w", fn.Name, createErr)
 		}
+		rep, _, err := h.Finish()
+		if err != nil {
+			return fmt.Errorf("check create %s: %w", fn.Name, err)
+		}
+		reps[i] = rep
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i, fn := range fns {
+		o.obsNamed(fn.Name, reps[i])
 	}
 	for i, fn := range fns {
 		img := imgs[i]

@@ -251,3 +251,31 @@ func TestFigureExperimentsOnTinySuite(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCreationHonoursOptions arms snapshot creation like any
+// cell: one metrics report per function, with the booted sandbox's
+// guest accesses observed through its KVM, no violations, and the
+// same table as the unarmed run.
+func TestSnapshotCreationHonoursOptions(t *testing.T) {
+	fns := goldenFunctions(t)
+	plain, err := ExtSnapshotCreation(Options{Functions: fns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	armed, err := ExtSnapshotCreation(Options{Functions: fns, Check: true, Obs: &obs.Config{Metrics: true},
+		ObsSinkNamed: func(name string, rep *obs.Report) {
+			if n, _ := rep.Metrics().Counter("snapbpf_guest_accesses_total"); n > 0 {
+				got = append(got, name)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"image", "json"}; !slices.Equal(got, want) {
+		t.Errorf("reports with guest accesses = %v, want %v", got, want)
+	}
+	if armed.CSV() != plain.CSV() {
+		t.Errorf("arming the checker and recorder moved the table:\n%s--- unarmed ---\n%s", armed.CSV(), plain.CSV())
+	}
+}

@@ -46,6 +46,9 @@ func (h *Host) BootFresh(p *sim.Proc, name string, fn workload.Function, zeroOnF
 		started:    p.Now(),
 	}
 	vm.KVM = kvm.New(g, as, 0, h.CM)
+	for _, o := range h.kvmObs {
+		vm.KVM.AddObserver(o)
+	}
 	return vm, nil
 }
 
