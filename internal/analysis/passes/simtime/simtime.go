@@ -62,11 +62,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		case isSimTime(dst) && wallSrc:
 			tr.Reportf(call.Pos(),
 				"conversion of wall-clock %s to sim.Time reinterprets a span as a virtual timestamp; use sim.Time.Add",
-				src)
+				types.Unalias(src))
 		case wallDst && isSimTime(src):
 			tr.Reportf(call.Pos(),
 				"conversion of sim.Time to wall-clock %s reinterprets a virtual timestamp as a span; use sim.Time.Sub",
-				dst)
+				types.Unalias(dst))
 		}
 	})
 	return nil, nil
