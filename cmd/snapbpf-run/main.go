@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"snapbpf/internal/blockdev"
@@ -27,16 +28,20 @@ import (
 	"snapbpf/internal/workload"
 )
 
-func schemes() map[string]experiments.Scheme {
-	return map[string]experiments.Scheme{
-		"linux-nora": experiments.SchemeLinuxNoRA,
-		"linux-ra":   experiments.SchemeLinuxRA,
-		"reap":       experiments.SchemeREAP,
-		"faast":      experiments.SchemeFaast,
-		"faasnap":    experiments.SchemeFaaSnap,
-		"snapbpf":    experiments.SchemeSnapBPF,
-		"pvptes":     experiments.SchemePVOnly,
+// schemes lists every scheme in figure order.
+var schemes = []experiments.Scheme{
+	experiments.SchemeLinuxNoRA, experiments.SchemeLinuxRA, experiments.SchemeREAP,
+	experiments.SchemeFaast, experiments.SchemeFaaSnap, experiments.SchemeSnapBPF,
+	experiments.SchemePVOnly,
+}
+
+// schemeNames returns the -scheme names, lowercase, in figure order.
+func schemeNames() []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = strings.ToLower(s.Name)
 	}
+	return names
 }
 
 func main() {
@@ -56,11 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *listS {
-		var names []string
-		for k := range schemes() {
-			names = append(names, k)
-		}
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(schemeNames(), "\n"))
 		return
 	}
 	if *listF {
@@ -72,10 +73,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	s, ok := schemes()[strings.ToLower(*scheme)]
-	if !ok {
+	i := slices.Index(schemeNames(), strings.ToLower(*scheme))
+	if i < 0 {
 		fatal(fmt.Errorf("unknown scheme %q (use -schemes)", *scheme))
 	}
+	s := schemes[i]
 
 	var dev blockdev.Params
 	switch strings.ToLower(*device) {
