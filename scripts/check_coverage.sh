@@ -20,8 +20,8 @@ declare -A floors=(
   [snapbpf/internal/vmm]=84.5
   [snapbpf/internal/prefetch]=61.0
   [snapbpf/internal/prefetch/faasnap]=87.0
-  [snapbpf/internal/prefetch/faast]=76.0
-  [snapbpf/internal/prefetch/reap]=76.0
+  [snapbpf/internal/prefetch/faast]=98.0
+  [snapbpf/internal/prefetch/reap]=90.5
   [snapbpf/internal/check]=84.4
   [snapbpf/internal/cluster]=83.0
   [snapbpf/internal/workload]=90.0
