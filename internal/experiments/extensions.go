@@ -244,8 +244,6 @@ func ExtSnapshotCreation(o Options) (*Table, error) {
 	}
 	for i, fn := range fns {
 		o.obsNamed(fn.Name, reps[i])
-	}
-	for i, fn := range fns {
 		img := imgs[i]
 		var stalePool int64
 		for pg := img.StatePages; pg < img.NrPages; pg++ {
