@@ -40,8 +40,10 @@ check: build vet lint vendorcheck fmtcheck test fitness
 
 # Calibration drift alarm: regenerate the referenced figures on the
 # full suite with the invariant checker armed and score them against
-# the embedded paper numbers (internal/calib); any figure outside its
-# tolerance band exits nonzero. Verdicts land in results/fitness.json.
+# the paper's numbers and claims (internal/calib); any figure outside
+# its tolerance band or failing claim exits nonzero. Verdicts land in
+# results/fitness.json. CI's fitness job adds fig3b and fig3c, which
+# carry claims but no reference figure.
 fitness:
 	$(GO) run ./cmd/snapbpf-bench -check -fitness -parallel 0 -exp table1,fig3a,fig4,overheads -fitness-out results/fitness.json
 
@@ -67,10 +69,12 @@ bench-json:
 	./scripts/bench_json.sh results/bench.json
 
 # Regenerate every table and figure on the full 15-function suite,
-# verify the paper's claims, and write CSV + a markdown report.
-# Cells run on one worker per CPU; add e.g. `-parallel 1` for serial.
+# score them against the paper's figures and claims (nonzero exit on
+# any failure), and write CSV, results/fitness.json and a markdown
+# report. Cells run on one worker per CPU; add e.g. `-parallel 1` for
+# serial.
 repro:
-	$(GO) run ./cmd/snapbpf-bench -verify -csv results -report results/report.md
+	$(GO) run ./cmd/snapbpf-bench -fitness -csv results -report results/report.md
 
 examples:
 	$(GO) run ./examples/quickstart

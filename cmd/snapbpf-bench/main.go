@@ -14,7 +14,7 @@
 //	snapbpf-bench -check               # arm the invariant-checking harness
 //	snapbpf-bench -trace t.json        # write a Chrome trace of every cell
 //	snapbpf-bench -metrics m.json      # write metrics JSON + Prometheus text
-//	snapbpf-bench -fitness             # score results vs the paper's numbers
+//	snapbpf-bench -fitness             # score results vs the paper's figures and claims
 //	snapbpf-bench -replay json         # counterfactual prefetch-decision replay
 //	snapbpf-bench -exp cluster -hosts 8 -router affinity -keepalive 2
 //	                                   # region-scale run: 8 hosts, one router/budget cell
@@ -39,7 +39,6 @@ import (
 	"snapbpf/internal/experiments"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
-	"snapbpf/internal/paper"
 	"snapbpf/internal/store"
 	"snapbpf/internal/workload"
 )
@@ -50,7 +49,6 @@ func main() {
 		fnFlag     = flag.String("funcs", "", "comma-separated function names (default: full suite)")
 		csvDir     = flag.String("csv", "", "directory to write per-experiment CSV files")
 		report     = flag.String("report", "", "write a combined markdown report to this file")
-		verify     = flag.Bool("verify", false, "check the paper's claims against the results")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
 		parallel   = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
@@ -59,7 +57,7 @@ func main() {
 		checkInv   = flag.Bool("check", false, "arm the invariant-checking harness on every cell (fails on violations)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON covering every cell to this file (open in chrome://tracing)")
 		metricsJS  = flag.String("metrics", "", "write the metrics document to this JSON file, plus Prometheus text next to it (.prom)")
-		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values; nonzero exit on drift")
+		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values and check its claims; nonzero exit on any failure")
 		fitnessOut = flag.String("fitness-out", "results/fitness.json", "where -fitness writes its JSON verdict")
 		replayFns  = flag.String("replay", "", "comma-separated function names: counterfactual prefetch-decision replay instead of experiments")
 		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one")
@@ -137,12 +135,7 @@ func main() {
 	var cellSeq int
 	if *traceOut != "" || *metricsJS != "" {
 		opts.Obs = &obs.Config{Trace: *traceOut != "", Metrics: *metricsJS != ""}
-		opts.ObsSink = func(i int, cell experiments.Cell, res *experiments.RunResult) {
-			name := fmt.Sprintf("%s/%03d %s/%s/n%d", curExp, cellSeq, res.Scheme, res.Function, res.N)
-			cellSeq++
-			obsCells = append(obsCells, obsCell{name: name, rep: res.Obs})
-		}
-		opts.ObsSinkNamed = func(name string, rep *obs.Report) {
+		opts.ObsSink = func(name string, rep *obs.Report) {
 			full := fmt.Sprintf("%s/%03d %s", curExp, cellSeq, name)
 			cellSeq++
 			obsCells = append(obsCells, obsCell{name: full, rep: rep})
@@ -202,42 +195,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics written to %s and %s\n", *metricsJS, promPath)
 	}
 
-	if *fitness {
-		rep, err := calib.Evaluate(tables, calib.References(),
+	// The paper gate: figure verdicts and claim checks (internal/calib).
+	// A -report run without -fitness renders whatever verdicts its
+	// tables support, and none when they match no figure or claim.
+	var verdicts *calib.Report
+	if *fitness || *report != "" {
+		verdicts, err = calib.Evaluate(tables, calib.References(),
 			calib.Options{AllowMissingRows: *fnFlag != ""})
-		if err != nil {
+		if err != nil && *fitness {
 			fatal(err)
 		}
-		fmt.Println(rep.VerdictTable().Render())
+	}
+	if *fitness {
+		fmt.Println(verdicts.Text())
 		if err := mkdirFor(*fitnessOut); err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*fitnessOut, rep.JSON(), 0o644); err != nil {
+		if err := os.WriteFile(*fitnessOut, verdicts.JSON(), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "fitness verdicts written to", *fitnessOut)
-		if !rep.Pass {
-			fatal(fmt.Errorf("fitness: drift alarm: at least one figure exceeds its tolerance band (see %s)", *fitnessOut))
-		}
-	}
-
-	if *verify {
-		fmt.Println("== paper claim verification ==")
-		for _, r := range paper.CheckAll(tables) {
-			mark := "HOLDS "
-			if !r.Holds {
-				mark = "BROKEN"
-			}
-			fmt.Printf("[%s] %s\n        measured: %s\n", mark, r.Claim.Statement, r.Measured)
-		}
-		fmt.Println()
 	}
 
 	if *report != "" {
-		if err := os.WriteFile(*report, []byte(renderReport(order, tables)), 0o644); err != nil {
+		if err := os.WriteFile(*report, []byte(renderReport(order, tables, verdicts)), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "report written to", *report)
+	}
+	if *fitness && !verdicts.Pass {
+		fatal(fmt.Errorf("fitness: a figure is outside its tolerance band or a paper claim fails (see %s)", *fitnessOut))
 	}
 }
 
@@ -343,19 +330,14 @@ func runReplay(fns string, k, parallel int) error {
 }
 
 // renderReport assembles a markdown report: every table plus the
-// claim verdicts.
-func renderReport(order []string, tables map[string]*experiments.Table) string {
+// paper gate's verdicts, when there are any.
+func renderReport(order []string, tables map[string]*experiments.Table, verdicts *calib.Report) string {
 	var sb strings.Builder
 	sb.WriteString("# SnapBPF reproduction results\n\n")
 	sb.WriteString("Generated by `snapbpf-bench -report`. All timings are virtual\n")
 	sb.WriteString("(deterministic simulation); see DESIGN.md for the methodology.\n\n")
-	sb.WriteString("## Paper claims\n\n")
-	for _, r := range paper.CheckAll(tables) {
-		mark := "✅"
-		if !r.Holds {
-			mark = "❌"
-		}
-		fmt.Fprintf(&sb, "- %s %s\n  - measured: %s\n", mark, r.Claim.Statement, r.Measured)
+	if verdicts != nil {
+		fmt.Fprintf(&sb, "## Paper figures and claims\n\n```\n%s```\n", verdicts.Text())
 	}
 	sb.WriteString("\n## Tables\n")
 	for _, id := range order {
@@ -378,7 +360,7 @@ type obsCell struct {
 	rep  *obs.Report
 }
 
-// reportTraceDrops surfaces MaxTraceEvents truncation on stderr at
+// reportTraceDrops surfaces trace-cap truncation on stderr at
 // export time: the drop counter is embedded in the metrics JSON, but a
 // truncated trace read in chrome://tracing looks complete, so the loss
 // must be loud.
@@ -397,7 +379,8 @@ func reportTraceDrops(cells []obsCell) {
 	if dropped == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "trace: %d events dropped by the MaxTraceEvents cap in %d cells:\n", dropped, len(affected))
+	fmt.Fprintf(os.Stderr, "trace: %d events dropped by the %d-event per-cell cap in %d cells:\n",
+		dropped, obs.DefaultMaxTraceEvents, len(affected))
 	for _, name := range affected {
 		fmt.Fprintf(os.Stderr, "  %s\n", name)
 	}

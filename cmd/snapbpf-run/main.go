@@ -108,7 +108,7 @@ func main() {
 	cellName := fmt.Sprintf("%s/%s/n%d", res.Scheme, res.Function, res.N)
 	if res.Obs != nil {
 		if d := res.Obs.TraceDropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: %d events dropped by the MaxTraceEvents cap; raise obs.Config.MaxTraceEvents to keep them\n", d)
+			fmt.Fprintf(os.Stderr, "trace: %d events dropped by the %d-event per-run cap\n", d, obs.DefaultMaxTraceEvents)
 		}
 	}
 	if *traceOut != "" {

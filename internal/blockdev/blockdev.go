@@ -397,12 +397,6 @@ func (d *Device) service(r *request) {
 	})
 }
 
-// ReadPages is a convenience wrapper reading n pages starting at page
-// index idx.
-func (d *Device) ReadPages(p *sim.Proc, idx, n int64) error {
-	return d.Read(p, units.PageOffset(idx), n*int64(units.PageSize))
-}
-
 type span struct{ off, len int64 }
 
 func splitRequest(off, length, max int64) []span {

@@ -3,7 +3,9 @@ package calib
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 
 	"snapbpf/internal/experiments"
 )
@@ -46,35 +48,95 @@ type FigureFitness struct {
 	Err string `json:"error,omitempty"`
 }
 
+// ClaimVerdict is one checked statement from the paper's text.
+type ClaimVerdict struct {
+	Experiment string `json:"experiment"`
+	Statement  string `json:"statement"`
+	Measured   string `json:"measured"`
+	Holds      bool   `json:"holds"`
+}
+
 // Report is the full fitness verdict, serialised to results/fitness.json.
+// Pass is false if any figure is outside its band or any claim fails.
 type Report struct {
 	Pass    bool            `json:"pass"`
 	Figures []FigureFitness `json:"figures"`
+	Claims  []ClaimVerdict  `json:"claims"`
 }
 
-// Evaluate scores each regenerated table against its reference figure.
-// Reference figures with no table in the run are skipped (the run
-// chose a subset of experiments); evaluating zero figures is an error.
-// Pairing is by (row key, column name), so row order and column order
+// Evaluate scores each regenerated table against its reference figure
+// and checks the paper's claims against it. Figures and claims with no
+// table in the run are skipped (the run chose a subset of
+// experiments); a run that matches none of them is an error. Figure
+// pairing is by (row key, column name), so row order and column order
 // of the table cannot affect the result.
 func Evaluate(tables map[string]*experiments.Table, refs []RefFigure, opts Options) (*Report, error) {
 	rep := &Report{Pass: true}
 	for _, ref := range refs {
-		tbl := tables[ref.ID]
-		if tbl == nil {
-			continue
+		if tbl := tables[ref.ID]; tbl != nil {
+			ff := evalFigure(tbl, ref, opts)
+			rep.Pass = rep.Pass && ff.Pass
+			rep.Figures = append(rep.Figures, ff)
 		}
-		rep.Figures = append(rep.Figures, evalFigure(tbl, ref, opts))
 	}
-	if len(rep.Figures) == 0 {
-		return nil, fmt.Errorf("calib: no reference figure matches the run's tables")
-	}
-	for _, f := range rep.Figures {
-		if !f.Pass {
-			rep.Pass = false
+	for _, c := range paperClaims {
+		if tbl := tables[c.experiment]; tbl != nil {
+			measured, holds := c.check(tbl)
+			rep.Pass = rep.Pass && holds
+			rep.Claims = append(rep.Claims, ClaimVerdict{
+				Experiment: c.experiment, Statement: c.statement, Measured: measured, Holds: holds,
+			})
 		}
+	}
+	if len(rep.Figures)+len(rep.Claims) == 0 {
+		return nil, fmt.Errorf("calib: no reference figure or paper claim matches the run's tables")
 	}
 	return rep, nil
+}
+
+// ParseValue converts one table cell to a float. Alongside plain
+// numbers it accepts the conventions the experiment tables use:
+// qualitative Yes/No cells map to 1/0, and "2.31x" / "0.18%" ratio
+// suffixes are stripped (the percent cell keeps percent units — both
+// sides of a comparison go through this same parser). Non-finite
+// values are rejected.
+func ParseValue(s string) (float64, error) {
+	s = strings.TrimSpace(s)
+	switch s {
+	case "Yes":
+		return 1, nil
+	case "No":
+		return 0, nil
+	}
+	s = strings.TrimSuffix(strings.TrimSuffix(s, "x"), "%")
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("calib: bad value %q", s)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("calib: non-finite value %q", s)
+	}
+	return v, nil
+}
+
+// column returns the index of the named column in t, or -1.
+func column(t *experiments.Table, name string) int {
+	for i, c := range t.Columns {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// row returns the first row of t keyed (column 0) by key, or nil.
+func row(t *experiments.Table, key string) []string {
+	for _, r := range t.Rows {
+		if len(r) > 0 && r[0] == key {
+			return r
+		}
+	}
+	return nil
 }
 
 func evalFigure(tbl *experiments.Table, ref RefFigure, opts Options) FigureFitness {
@@ -91,44 +153,31 @@ func evalFigure(tbl *experiments.Table, ref RefFigure, opts Options) FigureFitne
 	// Map reference columns to table column indices by name.
 	colIdx := make([]int, len(ref.Columns))
 	for i, want := range ref.Columns {
-		colIdx[i] = -1
-		for j, have := range tbl.Columns {
-			if have == want {
-				colIdx[i] = j
-				break
-			}
-		}
-		if colIdx[i] < 0 {
+		if colIdx[i] = column(tbl, want); colIdx[i] < 0 {
 			return failf("table %s has no column %q", tbl.ID, want)
 		}
 	}
 
 	var refVals, simVals []float64
-	for _, row := range ref.Rows {
-		var cells []string
-		for _, r := range tbl.Rows {
-			if len(r) > 0 && r[0] == row.Key {
-				cells = r
-				break
-			}
-		}
+	for _, rr := range ref.Rows {
+		cells := row(tbl, rr.Key)
 		if cells == nil {
 			if opts.AllowMissingRows {
 				ff.MissingRows++
 				continue
 			}
-			return failf("table %s has no row %q", tbl.ID, row.Key)
+			return failf("table %s has no row %q", tbl.ID, rr.Key)
 		}
 		ff.Rows++
 		for i, ci := range colIdx {
 			if ci >= len(cells) {
-				return failf("table %s row %q is short of column %q", tbl.ID, row.Key, ref.Columns[i])
+				return failf("table %s row %q is short of column %q", tbl.ID, rr.Key, ref.Columns[i])
 			}
 			v, err := ParseValue(cells[ci])
 			if err != nil {
-				return failf("table %s row %q column %q: %v", tbl.ID, row.Key, ref.Columns[i], err)
+				return failf("table %s row %q column %q: %v", tbl.ID, rr.Key, ref.Columns[i], err)
 			}
-			refVals = append(refVals, row.Vals[i])
+			refVals = append(refVals, rr.Vals[i])
 			simVals = append(simVals, v)
 		}
 	}
@@ -198,4 +247,20 @@ func (r *Report) VerdictTable() *experiments.Table {
 			mape, f4(f.MAPETol), pear, f4(f.PearsonMin), verdict)
 	}
 	return t
+}
+
+// Text renders the whole report for people: the figure verdict table,
+// then each claim with its verdict and measured value.
+func (r *Report) Text() string {
+	var sb strings.Builder
+	sb.WriteString(r.VerdictTable().Render())
+	sb.WriteString("\n== claims: the paper's §4 statements vs the regenerated tables ==\n")
+	for _, c := range r.Claims {
+		mark := "holds"
+		if !c.Holds {
+			mark = "FAIL "
+		}
+		fmt.Fprintf(&sb, "[%s] %s: %s\n        measured: %s\n", mark, c.Experiment, c.Statement, c.Measured)
+	}
+	return sb.String()
 }

@@ -19,18 +19,11 @@ func synthetic(id string, cols []string, rows [][]string) *experiments.Table {
 }
 
 func refFixture() []RefFigure {
-	refs, err := ParseRefTable(`
-figure f
-tolerance mape=0.1 pearson=0.9
-columns A|B
-row x|1|2
-row y|2|4
-row z|3|1
-`)
-	if err != nil {
-		panic(err)
-	}
-	return refs
+	return []RefFigure{{
+		ID: "f", MAPETol: 0.1, PearsonMin: 0.9,
+		Columns: []string{"A", "B"},
+		Rows:    []RefRow{{"x", []float64{1, 2}}, {"y", []float64{2, 4}}, {"z", []float64{3, 1}}},
+	}}
 }
 
 func TestEvaluatePass(t *testing.T) {
@@ -154,16 +147,11 @@ func TestEvaluateStructuralFailures(t *testing.T) {
 }
 
 func TestEvaluateDegenerateSeries(t *testing.T) {
-	refs, err := ParseRefTable(`
-figure f
-tolerance mape=0.1 pearson=0.9
-columns A
-row x|0
-row y|0
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refs := []RefFigure{{
+		ID: "f", MAPETol: 0.1, PearsonMin: 0.9,
+		Columns: []string{"A"},
+		Rows:    []RefRow{{"x", []float64{0}}, {"y", []float64{0}}},
+	}}
 	// All-zero reference: MAPE degenerate, Pearson judges. Simulated
 	// side varies so Pearson is defined but the reference is constant —
 	// zero variance — so both are degenerate: structural failure.

@@ -53,12 +53,6 @@ type SnapBPF struct {
 	// fault hot path.
 	ScheduleOverride func([]snapshot.Group) []snapshot.Group
 
-	// PrefetchBatch caps the groups issued per program firing so one
-	// execution stays within the kernel's instruction budget; the
-	// program resumes from its cursor on later firings. 0 uses the
-	// default.
-	PrefetchBatch int
-
 	nameOverride string
 
 	ws *snapshot.OffsetsWS
@@ -82,7 +76,8 @@ type SnapBPF struct {
 
 // defaultPrefetchBatch bounds the groups issued per prefetch-program
 // firing: ~35 interpreted instructions per group keeps a full batch
-// well inside the 1M-instruction budget.
+// well inside the 1M-instruction budget, and the program resumes from
+// its cursor on later firings.
 const defaultPrefetchBatch = 16384
 
 // New returns SnapBPF with both mechanisms enabled, as evaluated in
@@ -298,11 +293,7 @@ func (s *SnapBPF) PrepareVM(p *sim.Proc, env *prefetch.Env, vm *vmm.MicroVM) err
 		glen.UserUpdates++
 		updates += 2
 	}
-	batch := s.PrefetchBatch
-	if batch <= 0 {
-		batch = defaultPrefetchBatch
-	}
-	confVals := [5]uint64{env.SnapInode.ID(), uint64(n), 0, 1, uint64(batch)}
+	confVals := [5]uint64{env.SnapInode.ID(), uint64(n), 0, 1, defaultPrefetchBatch}
 	for k, v := range confVals {
 		if err := pconf.Update(uint64(k), v); err != nil {
 			return err

@@ -145,7 +145,7 @@ func Cluster(o Options) (*Table, error) {
 			label, res.Admitted, res.Cold, res.Warm, res.Rejected)
 		clusterRows(t, label, res)
 		for _, hs := range res.Hosts {
-			o.obsNamed(fmt.Sprintf("cluster/%s/%s", label, hs.Name), hs.Obs)
+			o.sink(fmt.Sprintf("cluster/%s/%s", label, hs.Name), hs.Obs)
 		}
 	}
 	return t, nil

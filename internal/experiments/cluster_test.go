@@ -199,7 +199,7 @@ func TestClusterHonorsStore(t *testing.T) {
 	o.Store = &store.Setup{Tier: store.TierCold, Policy: store.PolicyDemand}
 	o.Obs = &obs.Config{Metrics: true}
 	var fetches int64
-	o.ObsSinkNamed = func(name string, rep *obs.Report) {
+	o.ObsSink = func(name string, rep *obs.Report) {
 		fetches += mustCounter(t, rep.Metrics(), "snapbpf_store_fetches_total")
 	}
 	remote, err := Cluster(o) // Check fails the run on any violation

@@ -41,21 +41,16 @@ type Options struct {
 	// the -trace/-metrics CLI flags route here.
 	Obs *obs.Config
 
-	// ObsSink, when non-nil, receives each completed cell's index,
-	// definition and result after a RunCells batch finishes — always in
-	// cell order, regardless of which pool worker ran the cell, so any
-	// trace or metrics document built from the sink is byte-identical
-	// between serial and parallel execution. Only cells that produced
-	// an observability report are delivered.
-	ObsSink func(i int, cell Cell, res *RunResult)
-
-	// ObsSinkNamed receives observability reports from experiments
-	// whose unit of measurement is not a single-host RunResult: one
-	// report per (cell, host) from the cluster experiment, per
-	// (function, scheme) from ext-steady-state and per scheme from
-	// ext-colocation. They arrive in job order, after the batch, for
-	// the same byte-identical-output guarantee ObsSink gives.
-	ObsSinkNamed func(name string, rep *obs.Report)
+	// ObsSink, when non-nil, receives every observability report an
+	// experiment produces, with a name for its unit of measurement:
+	// "Scheme/Function/nN" per RunCells cell, one per (cell, host) from
+	// the cluster experiment, per (function, scheme) from
+	// ext-steady-state and per scheme from ext-colocation. Reports
+	// arrive after each batch settles, in cell or job order regardless
+	// of which pool worker ran them, so any trace or metrics document
+	// built from the sink is byte-identical between serial and parallel
+	// execution. Units that produced no report are skipped.
+	ObsSink func(name string, rep *obs.Report)
 
 	// Cluster tunes the cluster experiment; nil means the golden
 	// 4-host configuration (see ClusterParams).
@@ -87,10 +82,10 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// obsNamed hands rep to ObsSinkNamed, if both are set.
-func (o Options) obsNamed(name string, rep *obs.Report) {
-	if o.ObsSinkNamed != nil && rep != nil {
-		o.ObsSinkNamed(name, rep)
+// sink hands rep to ObsSink, if both are set.
+func (o Options) sink(name string, rep *obs.Report) {
+	if o.ObsSink != nil && rep != nil {
+		o.ObsSink(name, rep)
 	}
 }
 

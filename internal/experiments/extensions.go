@@ -6,6 +6,7 @@ import (
 
 	"snapbpf/internal/blockdev"
 	"snapbpf/internal/core"
+	"snapbpf/internal/costmodel"
 	"snapbpf/internal/obs"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
@@ -110,7 +111,8 @@ func ExtCostAnalysis(o Options) (*Table, error) {
 		Columns: []string{"Function", "capture runs", "prefetch runs",
 			"eBPF CPU (ms)", "map memory (KiB)", "load (ms)", "load/E2E"},
 	}
-	cm := costPerProgRun()
+	// Modelled CPU cost of one kprobe-dispatched program execution.
+	cm := costmodel.Default().KprobeDispatch
 	fns := o.functions()
 	// Each cell's factory deposits the SnapBPF instance it built into
 	// the cell's own slot so the counters can be read after the runs.
@@ -151,12 +153,6 @@ func ExtCostAnalysis(o Options) (*Table, error) {
 			fmt.Sprintf("%.2f%%", 100*float64(res.OffsetLoad)/float64(res.MeanE2E)))
 	}
 	return t, nil
-}
-
-// costPerProgRun returns the modelled CPU cost of one kprobe-dispatched
-// program execution.
-func costPerProgRun() time.Duration {
-	return 150 * time.Nanosecond // costmodel.Default().KprobeDispatch
 }
 
 // ExtDevices reruns the headline comparison across storage profiles —
@@ -243,7 +239,7 @@ func ExtSnapshotCreation(o Options) (*Table, error) {
 		return nil, err
 	}
 	for i, fn := range fns {
-		o.obsNamed(fn.Name, reps[i])
+		o.sink(fn.Name, reps[i])
 		img := imgs[i]
 		var stalePool int64
 		for pg := img.StatePages; pg < img.NrPages; pg++ {
@@ -296,7 +292,7 @@ func ExtSteadyState(o Options) (*Table, error) {
 		for si, s := range schemes {
 			res := results[fi*len(schemes)+si]
 			o.progress("ext-steady-state %-10s %-8s waves=%v", fn.Name, s.Name, res.WaveE2E)
-			o.obsNamed(fn.Name+"/"+s.Name, res.Obs)
+			o.sink(fn.Name+"/"+s.Name, res.Obs)
 			t.AddRow(fn.Name, res.Scheme,
 				secs(res.WaveE2E[0]), secs(res.WaveE2E[1]), secs(res.WaveE2E[2]),
 				fmt.Sprintf("%.1f", float64(res.DeviceBytes)/(1<<20)),
@@ -401,7 +397,7 @@ func ExtColocation(o Options) (*Table, error) {
 		}
 		mean := sum / time.Duration(len(res.PerFunction))
 		o.progress("ext-colocation %-8s mem=%v mean=%v", s.Name, res.SystemMemory, mean)
-		o.obsNamed(s.Name, res.Obs)
+		o.sink(s.Name, res.Obs)
 		t.AddRow(s.Name,
 			fmt.Sprintf("%.2f", float64(res.SystemMemory)/(1<<30)),
 			fmt.Sprintf("%.1f", float64(res.DeviceBytes)/(1<<20)),

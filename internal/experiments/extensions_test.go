@@ -102,7 +102,7 @@ func TestSteadyStateAndColocationHonourOptions(t *testing.T) {
 		}
 		var got []string
 		armed, err := exp.run(Options{Functions: fns, Check: true, Obs: &obs.Config{Metrics: true},
-			ObsSinkNamed: func(name string, rep *obs.Report) {
+			ObsSink: func(name string, rep *obs.Report) {
 				if rep.Metrics() != nil {
 					got = append(got, name)
 				}
@@ -264,7 +264,7 @@ func TestSnapshotCreationHonoursOptions(t *testing.T) {
 	}
 	var got []string
 	armed, err := ExtSnapshotCreation(Options{Functions: fns, Check: true, Obs: &obs.Config{Metrics: true},
-		ObsSinkNamed: func(name string, rep *obs.Report) {
+		ObsSink: func(name string, rep *obs.Report) {
 			if n, _ := rep.Metrics().Counter("snapbpf_guest_accesses_total"); n > 0 {
 				got = append(got, name)
 			}

@@ -37,11 +37,11 @@ func obsDocs(t *testing.T, parallel int) (traceDoc, metricsDoc, promDoc []byte) 
 		Parallel: parallel,
 		Check:    true,
 		Obs:      &obs.Config{Trace: true, Metrics: true},
-		ObsSink: func(i int, cell Cell, res *RunResult) {
-			name := fmt.Sprintf("%03d %s/%s/n%d", i, res.Scheme, res.Function, res.N)
-			tcs = append(tcs, obs.TraceCell{Name: name, Report: res.Obs})
-			mcs = append(mcs, obs.MetricsCell{Name: name, Report: res.Obs})
-			reports = append(reports, res.Obs)
+		ObsSink: func(name string, rep *obs.Report) {
+			name = fmt.Sprintf("%03d %s", len(tcs), name)
+			tcs = append(tcs, obs.TraceCell{Name: name, Report: rep})
+			mcs = append(mcs, obs.MetricsCell{Name: name, Report: rep})
+			reports = append(reports, rep)
 		},
 	}
 	if _, err := RunCells(o, obsGoldenCells()); err != nil {
@@ -191,7 +191,7 @@ func TestObsExperimentInvariance(t *testing.T) {
 	base := Options{Functions: []workload.Function{tinyFn()}, Check: true}
 	withObs := base
 	withObs.Obs = &obs.Config{Trace: true, Metrics: true}
-	withObs.ObsSink = func(i int, cell Cell, res *RunResult) {}
+	withObs.ObsSink = func(name string, rep *obs.Report) {}
 
 	t1, err := Fig3a(base)
 	if err != nil {

@@ -128,9 +128,9 @@ func RunCells(o Options, cells []Cell) ([]*RunResult, error) {
 	// walking cells in index order: the sink sees the same sequence no
 	// matter how the pool interleaved the runs.
 	if o.ObsSink != nil {
-		for i, r := range out {
-			if r != nil && r.Obs != nil {
-				o.ObsSink(i, cells[i], r)
+		for _, r := range out {
+			if r != nil {
+				o.sink(fmt.Sprintf("%s/%s/n%d", r.Scheme, r.Function, r.N), r.Obs)
 			}
 		}
 	}

@@ -45,13 +45,11 @@ type Config struct {
 	Trace bool
 	// Metrics records counters and histograms.
 	Metrics bool
-	// MaxTraceEvents caps the per-run event buffer (0 = DefaultMaxTraceEvents);
-	// events beyond the cap are counted in
-	// snapbpf_trace_events_dropped_total instead of recorded.
-	MaxTraceEvents int
 }
 
-// DefaultMaxTraceEvents bounds one run's trace buffer.
+// DefaultMaxTraceEvents bounds one run's trace buffer; events beyond
+// the cap are counted in snapbpf_trace_events_dropped_total instead of
+// recorded.
 const DefaultMaxTraceEvents = 1 << 20
 
 // Enabled reports whether the config asks for any recording; a nil
@@ -117,15 +115,12 @@ func Attach(h *vmm.Host, cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:       cfg,
 		eng:       h.Eng,
-		maxEvents: cfg.MaxTraceEvents,
+		maxEvents: DefaultMaxTraceEvents,
 		threads:   []string{"host"},
 		tids:      make(map[*sim.Proc]int64),
 		frames:    make(map[*sim.Proc]*frameStack),
 		ioOpen:    make(map[int64]sim.Time),
 		fileRefs:  make(map[pageKey]int32),
-	}
-	if r.maxEvents <= 0 {
-		r.maxEvents = DefaultMaxTraceEvents
 	}
 	if cfg.Trace {
 		r.events = &eventBuf{}

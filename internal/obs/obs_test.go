@@ -352,10 +352,10 @@ func TestRecorderHotPathCounters(t *testing.T) {
 	}
 }
 
-// TestEmitCap checks the MaxTraceEvents cap converts overflow into the
+// TestEmitCap checks the trace-event cap converts overflow into the
 // dropped counter rather than unbounded growth.
 func TestEmitCap(t *testing.T) {
-	r, p := testRecorder(Config{Trace: true, MaxTraceEvents: 2})
+	r, p := testRecorder(Config{Trace: true})
 	r.maxEvents = 2
 	for i := 0; i < 5; i++ {
 		r.Degraded("s", &vmm.MicroVM{Name: "vm"}, "reason")
