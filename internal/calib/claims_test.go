@@ -231,8 +231,26 @@ func TestEvaluateChecksEveryPresentClaim(t *testing.T) {
 			t.Errorf("claim unexpectedly broken: %s (%s)", c.Statement, c.Measured)
 		}
 	}
-	if _, err := Evaluate(map[string]*experiments.Table{"ext-devices": tables["fig3c"]}, References(), Options{}); err == nil {
-		t.Error("run with no figure or claim: want error")
+}
+
+// Figures and claims whose table is not in the run are skipped, not
+// failed; a run that matches none of them is an error.
+func TestEvaluateSkipsMissingTables(t *testing.T) {
+	fig3c := tableWith("fig3c", fig3bCols, []string{"bert", "1", "1", "8", "1.3", "6.3x"})
+	rep, err := Evaluate(map[string]*experiments.Table{"fig3c": fig3c}, References(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Figures) != 0 || len(rep.Claims) != 1 || rep.Claims[0].Experiment != "fig3c" || !rep.Pass {
+		t.Fatalf("claims = %+v, figures = %+v", rep.Claims, rep.Figures)
+	}
+	for name, tables := range map[string]map[string]*experiments.Table{
+		"no tables":          {},
+		"no matching tables": {"ext-devices": fig3c},
+	} {
+		if rep, err := Evaluate(tables, References(), Options{}); err == nil {
+			t.Errorf("%s: want error, got %+v", name, rep)
+		}
 	}
 }
 

@@ -38,9 +38,31 @@ func TestParseValue(t *testing.T) {
 	}
 }
 
-// The reference dataset must be well formed — unique figure IDs,
-// column names and row keys, one finite value per column, tolerance
-// bands set — and carry the four figures the CI drift alarm evaluates.
+// The reference dataset must carry the four figures the CI drift alarm
+// evaluates, each with its tolerance band, and the per-function figures
+// must cover the whole 15-function suite.
+func TestReferencesParse(t *testing.T) {
+	figs := map[string]RefFigure{}
+	for _, f := range References() {
+		figs[f.ID] = f
+	}
+	for _, id := range []string{"table1", "fig3a", "fig4", "overheads"} {
+		f, ok := figs[id]
+		if !ok {
+			t.Errorf("reference dataset is missing figure %q", id)
+			continue
+		}
+		if !(f.MAPETol > 0) || !(f.PearsonMin > 0) {
+			t.Errorf("%s: tolerance band MAPE %v / Pearson %v not set", id, f.MAPETol, f.PearsonMin)
+		}
+		if id != "table1" && len(f.Rows) != 15 {
+			t.Errorf("%s: %d rows, want the 15-function suite", id, len(f.Rows))
+		}
+	}
+}
+
+// The reference dataset must be well formed: unique figure IDs, column
+// names and row keys, one finite value per column, tolerance bands set.
 func TestReferencesWellFormed(t *testing.T) {
 	refs := References()
 	figs := map[string]RefFigure{}
@@ -79,16 +101,6 @@ func TestReferencesWellFormed(t *testing.T) {
 					t.Errorf("%s row %s: non-finite value %v", f.ID, r.Key, v)
 				}
 			}
-		}
-	}
-	for _, id := range []string{"table1", "fig3a", "fig4", "overheads"} {
-		f, ok := figs[id]
-		if !ok {
-			t.Errorf("reference dataset is missing figure %q", id)
-			continue
-		}
-		if id != "table1" && len(f.Rows) != 15 {
-			t.Errorf("%s: %d rows, want the 15-function suite", id, len(f.Rows))
 		}
 	}
 	// Each call is a fresh copy: a caller mutating its dataset cannot
