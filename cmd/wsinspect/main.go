@@ -72,7 +72,7 @@ func inspect(path string, listGroups bool) error {
 
 	fmt.Printf("%s:\n", path)
 	switch magic {
-	case 0x534e504d: // memory image
+	case snapshot.MagicMemory:
 		m, err := snapshot.LoadMemoryImage(path)
 		if err != nil {
 			return err
@@ -82,7 +82,7 @@ func inspect(path string, listGroups bool) error {
 		fmt.Printf("  state pages   %d (%.1f MiB)\n", m.StatePages, units.PagesToMiB(m.StatePages))
 		fmt.Printf("  zero pages    %d\n", m.ZeroPages())
 		fmt.Printf("  free PFNs     %d (allocator metadata)\n", len(m.FreePFNs))
-	case 0x53424657: // SnapBPF offsets
+	case snapshot.MagicOffsets:
 		ws, err := snapshot.LoadOffsetsWS(path)
 		if err != nil {
 			return err
@@ -96,7 +96,7 @@ func inspect(path string, listGroups bool) error {
 				fmt.Printf("    group %4d: pages [%d, %d)\n", i, g.Start, g.End())
 			}
 		}
-	case 0x52454157: // paged
+	case snapshot.MagicPaged:
 		ws, err := snapshot.LoadPagedWS(path)
 		if err != nil {
 			return err
@@ -108,7 +108,7 @@ func inspect(path string, listGroups bool) error {
 				fmt.Printf("    entry %4d: page %d tag %#x\n", i, pg, ws.Tags[i])
 			}
 		}
-	case 0x46534e57: // regions
+	case snapshot.MagicRegion:
 		ws, err := snapshot.LoadRegionWS(path)
 		if err != nil {
 			return err
@@ -122,7 +122,7 @@ func inspect(path string, listGroups bool) error {
 				fmt.Printf("    region %4d: pages [%d, %d)\n", i, g.Start, g.End())
 			}
 		}
-	case 0x54524345: // trace
+	case trace.Magic:
 		tr, err := trace.LoadFile(path)
 		if err != nil {
 			return err

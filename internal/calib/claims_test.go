@@ -154,14 +154,26 @@ func TestFig4MinimalClaim(t *testing.T) {
 }
 
 // Claims about functions a -funcs subset leaves out keep their
-// restricted-suite behaviour: the fig4 claims are vacuous without
-// image/rnn/bert, and fig3b falls back to the best ratio without bert.
+// restricted-suite behaviour: the fig3c and fig4 claims are vacuous
+// without bfs/bert and image/rnn/bert, and fig3b falls back to the
+// best ratio without bert.
 func TestClaimsOnFunctionSubsets(t *testing.T) {
 	jsonOnly := tableWith("fig4", fig4Cols, []string{"json", "1.00", "0.90", "0.55"})
 	for _, substr := range []string{"image", "minimally"} {
 		if m, ok := claimFor(t, "fig4", substr).check(jsonOnly); !ok || !strings.Contains(m, "not in suite") {
 			t.Errorf("fig4 %q claim on json only: %q, %v; want vacuous", substr, m, ok)
 		}
+	}
+	mem := claimFor(t, "fig3c", "6x")
+	if m, ok := mem.check(tableWith("fig3c", fig3bCols, []string{"json", "1", "1", "2", "1", "2.4x"})); !ok || m != "bfs/bert not in suite" {
+		t.Errorf("fig3c claim on json only: %q, %v; want vacuous", m, ok)
+	}
+	// Only the large-WS rows count: a json row outside the band is ignored.
+	withBfs := tableWith("fig3c", fig3bCols,
+		[]string{"json", "1", "1", "2", "1", "2.4x"},
+		[]string{"bfs", "1", "1", "4", "1", "5.9x"})
+	if m, ok := mem.check(withBfs); !ok || m != "max memory reduction = 5.9x" {
+		t.Errorf("fig3c claim on json+bfs: %q, %v", m, ok)
 	}
 	c := claimFor(t, "fig3b", "8x")
 	for _, tc := range []struct {

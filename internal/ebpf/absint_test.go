@@ -123,10 +123,10 @@ func TestAbsintEvictionScan(t *testing.T) {
 	}
 }
 
-// TestAbsintPrunedLoopSkipsBudget checks that a proven-bounded loop
+// TestAbsintBoundedLoopWithinBudget checks that a proven-bounded loop
 // carries a finite worst case far inside the instruction budget, and
 // that its run completes and counts.
-func TestAbsintPrunedLoopSkipsBudget(t *testing.T) {
+func TestAbsintBoundedLoopWithinBudget(t *testing.T) {
 	vm := NewVM()
 	insns := evictionScanProgram()
 	if r := vm.Analyze(insns); !r.OK || r.WorstCase() < 0 || r.WorstCase() >= InsnBudget {
@@ -159,10 +159,10 @@ func deadRegionProgram() []Instruction {
 	}
 }
 
-// TestAbsintPruneDeadRegion: a program whose only invalid
+// TestAbsintDeadRegion: a program whose only invalid
 // instructions are statically dead is accepted by the verifier and
 // runs without ever reaching them.
-func TestAbsintPruneDeadRegion(t *testing.T) {
+func TestAbsintDeadRegion(t *testing.T) {
 	vm := NewVM()
 	insns := deadRegionProgram()
 	r := vm.Analyze(insns)
@@ -190,9 +190,9 @@ func TestAbsintPruneDeadRegion(t *testing.T) {
 	}
 }
 
-// TestAbsintPruneFlattensBranch: the analysis marks the never-taken
+// TestAbsintOneSidedBranch: the analysis marks the never-taken
 // edge of a one-sided conditional dead, and the run takes the other.
-func TestAbsintPruneFlattensBranch(t *testing.T) {
+func TestAbsintOneSidedBranch(t *testing.T) {
 	// r1 = 8; jgt r1, 100 is never taken; fall path returns 5.
 	insns := []Instruction{
 		{Op: ClassALU64 | OpMov | SrcK, Dst: R1, Imm: 8},

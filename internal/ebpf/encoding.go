@@ -3,7 +3,6 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Wire-format encoding of programs, using the kernel's fixed 8-byte
@@ -15,7 +14,8 @@ import (
 //	bytes 4-7  immediate, little-endian int32
 //
 // This is the format bpf(BPF_PROG_LOAD) consumes and object files
-// carry, so captured programs can be stored and reloaded as artifacts.
+// carry; the fuzzers and the verifier regression corpus decode their
+// programs from it.
 
 // InstructionSize is the wire size of one instruction slot.
 const InstructionSize = 8
@@ -55,41 +55,4 @@ func UnmarshalInstructions(data []byte) ([]Instruction, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteProgram writes a program with a small header (magic, version,
-// instruction count, CRC-free — programs are verified on load anyway).
-func WriteProgram(w io.Writer, insns []Instruction) error {
-	data, err := MarshalInstructions(insns)
-	if err != nil {
-		return err
-	}
-	hdr := []uint32{0x65425046 /* "FPBe" */, 1, uint32(len(insns))}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadProgram reads a program written by WriteProgram.
-func ReadProgram(r io.Reader) ([]Instruction, error) {
-	var hdr [3]uint32
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("ebpf: reading program header: %w", err)
-	}
-	if hdr[0] != 0x65425046 {
-		return nil, fmt.Errorf("ebpf: bad program magic %#x", hdr[0])
-	}
-	if hdr[1] != 1 {
-		return nil, fmt.Errorf("ebpf: unsupported program version %d", hdr[1])
-	}
-	if hdr[2] > MaxProgramLen {
-		return nil, fmt.Errorf("ebpf: program too long: %d insns", hdr[2])
-	}
-	data := make([]byte, int(hdr[2])*InstructionSize)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("ebpf: truncated program: %w", err)
-	}
-	return UnmarshalInstructions(data)
 }

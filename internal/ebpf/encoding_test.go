@@ -1,7 +1,6 @@
 package ebpf
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -62,38 +61,6 @@ func TestUnmarshalBadSize(t *testing.T) {
 func TestMarshalRejectsBadRegister(t *testing.T) {
 	if _, err := MarshalInstructions([]Instruction{{Dst: 16}}); err == nil {
 		t.Fatal("register 16 encoded")
-	}
-}
-
-func TestProgramFileRoundTrip(t *testing.T) {
-	insns := NewBuilder().Mov64Imm(R0, 1).Exit().MustProgram()
-	var buf bytes.Buffer
-	if err := WriteProgram(&buf, insns); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProgram(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != insns[0] {
-		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestReadProgramBadMagic(t *testing.T) {
-	if _, err := ReadProgram(bytes.NewReader(make([]byte, 32))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestReadProgramTruncated(t *testing.T) {
-	insns := NewBuilder().Mov64Imm(R0, 1).Exit().MustProgram()
-	var buf bytes.Buffer
-	if err := WriteProgram(&buf, insns); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadProgram(bytes.NewReader(buf.Bytes()[:buf.Len()-4])); err == nil {
-		t.Fatal("truncated program accepted")
 	}
 }
 

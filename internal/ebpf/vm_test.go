@@ -538,24 +538,24 @@ func TestEnginesAgreeAllOpcodes(t *testing.T) {
 	checkPinned(t, opcodeCases(), opcodePins)
 }
 
-// TestEnginesAgreeHelperIdioms pins the capture/prefetch helper idioms,
+// TestInterpreterHelperIdioms pins the capture/prefetch helper idioms,
 // including their clock reads, kfunc calls and final map contents.
-func TestEnginesAgreeHelperIdioms(t *testing.T) {
+func TestInterpreterHelperIdioms(t *testing.T) {
 	checkPinned(t, helperIdiomCases(newRunEnv(t).fd), helperIdiomPins)
 }
 
-// TestEnginesAgreeBudgetExhaustion: an infinite loop aborts with the
+// TestInterpreterBudgetExhaustion: an infinite loop aborts with the
 // instruction-budget error, and the failed run is not counted.
-func TestEnginesAgreeBudgetExhaustion(t *testing.T) {
+func TestInterpreterBudgetExhaustion(t *testing.T) {
 	const want = "runs=0 err=ebpf: pin: instruction budget exceeded"
 	if got := outcome(t, budgetLoop()); got != want {
 		t.Fatalf("got  %s\nwant %s", got, want)
 	}
 }
 
-// TestEnginesAgreeNearBudget runs a loop that executes within a few
+// TestInterpreterNearBudget runs a loop that executes within a few
 // instructions of InsnBudget and then exits normally with sum(1..n).
-func TestEnginesAgreeNearBudget(t *testing.T) {
+func TestInterpreterNearBudget(t *testing.T) {
 	n := int32(InsnBudget/4 - 2)
 	const want = "runs=1 r0=0x7469f6fa9 r1=0x3d08e r2=0x3d08e r10=0x7ffff000"
 	if sum := uint64(n) * uint64(n+1) / 2; !strings.Contains(want, fmt.Sprintf(" r0=%#x ", sum)) {
@@ -566,10 +566,10 @@ func TestEnginesAgreeNearBudget(t *testing.T) {
 	}
 }
 
-// TestJITScratchReuse: sequential runs share one scratch frame, and
+// TestRunScratchReuse: sequential runs share one scratch frame, and
 // every run must still start from a zeroed stack — a slot the previous
 // run dirtied reads as zero.
-func TestJITScratchReuse(t *testing.T) {
+func TestRunScratchReuse(t *testing.T) {
 	// Reads fp-8 before storing the argument there, and reads fp-16,
 	// which it never writes.
 	insns := []Instruction{
@@ -603,11 +603,11 @@ func TestJITScratchReuse(t *testing.T) {
 	}
 }
 
-// TestJITCompilesRandomVerifiablePrograms runs every generator program
+// TestRandomVerifiableProgramsPinned runs every generator program
 // the verifier accepts and pins the count and a digest of all their
 // outcomes, so any change in what the interpreter computes on the
 // random corpus fails here.
-func TestJITCompilesRandomVerifiablePrograms(t *testing.T) {
+func TestRandomVerifiableProgramsPinned(t *testing.T) {
 	const (
 		trials       = 3000
 		wantAccepted = 724

@@ -14,27 +14,15 @@
 //   - RegionWS (.faasnap-ws): FaaSnap's coalesced working-set regions
 //     including gap pages, with contents (§2.1).
 //
-// All formats carry a magic number, a version and a CRC32 so corrupt
-// artifacts are rejected rather than silently mis-prefetched.
+// These formats and internal/trace's .trace share one frame (Writer,
+// Reader): a magic number, a version and a CRC32, so corrupt artifacts
+// are rejected rather than silently mis-prefetched, and a length field
+// is never trusted for an allocation ahead of the data.
 package snapshot
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-)
-
-// Format magics.
-const (
-	magicMemory  = 0x534e504d // "SNPM"
-	magicOffsets = 0x53424657 // "SBFW"
-	magicPaged   = 0x52454157 // "REAW"
-	magicRegion  = 0x46534e57 // "FSNW"
-
-	formatVersion = 1
 )
 
 // Group is a contiguous page range [Start, Start+NPages) in the
@@ -96,109 +84,35 @@ func (m *MemoryImage) ZeroPages() int64 {
 	return n
 }
 
-// crcWriter accumulates a CRC32 of everything written.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func writeHeader(w io.Writer, magic uint32) error {
-	if err := binary.Write(w, binary.LittleEndian, magic); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, uint32(formatVersion))
-}
-
-func readHeader(r io.Reader, wantMagic uint32, what string) error {
-	var magic, version uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("snapshot: reading %s header: %w", what, err)
-	}
-	if magic != wantMagic {
-		return fmt.Errorf("snapshot: bad magic %#x for %s (want %#x)", magic, what, wantMagic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return fmt.Errorf("snapshot: reading %s version: %w", what, err)
-	}
-	if version != formatVersion {
-		return fmt.Errorf("snapshot: unsupported %s version %d", what, version)
-	}
-	return nil
-}
-
 // WriteMemoryImage serializes m to w.
 func WriteMemoryImage(w io.Writer, m *MemoryImage) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, magicMemory); err != nil {
-		return err
-	}
-	for _, v := range []int64{m.NrPages, m.StatePages, int64(len(m.FreePFNs))} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, m.PageTags); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, m.FreePFNs); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	fw := NewWriter(w, MagicMemory)
+	fw.Put(m.NrPages, m.StatePages, int64(len(m.FreePFNs)), m.PageTags, m.FreePFNs)
+	return fw.Close()
 }
 
 // ReadMemoryImage parses a memory image from r, verifying the CRC.
 func ReadMemoryImage(r io.Reader) (*MemoryImage, error) {
-	cr := &crcReader{r: r}
-	if err := readHeader(cr, magicMemory, "memory image"); err != nil {
+	fr, err := NewReader(r, MagicMemory, "memory image")
+	if err != nil {
 		return nil, err
 	}
-	var nrPages, statePages, nrFree int64
-	for _, p := range []*int64{&nrPages, &statePages, &nrFree} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("snapshot: truncated memory image: %w", err)
-		}
+	m := &MemoryImage{}
+	var nrFree int64
+	if err := fr.Get(&m.NrPages, &m.StatePages, &nrFree); err != nil {
+		return nil, err
 	}
-	if nrPages <= 0 || nrPages > 1<<32 || nrFree < 0 || nrFree > nrPages {
-		return nil, fmt.Errorf("snapshot: implausible memory image header (%d pages, %d free)", nrPages, nrFree)
+	if m.PageTags, err = ReadSlice[uint64](fr, m.NrPages); err != nil {
+		return nil, err
 	}
-	m := &MemoryImage{
-		NrPages:    nrPages,
-		StatePages: statePages,
-		PageTags:   make([]uint64, nrPages),
-		FreePFNs:   make([]int64, nrFree),
+	if m.FreePFNs, err = ReadSlice[int64](fr, nrFree); err != nil {
+		return nil, err
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.PageTags); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated page tags: %w", err)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, m.FreePFNs); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated free-pfn list: %w", err)
-	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("snapshot: missing checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("snapshot: memory image checksum mismatch (%#x != %#x)", sum, want)
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -206,31 +120,12 @@ func ReadMemoryImage(r io.Reader) (*MemoryImage, error) {
 	return m, nil
 }
 
-// SaveFile writes the image to path atomically-ish (via rename-free
-// simple write; artifacts are build products, not databases).
+// SaveFile writes the image to path.
 func (m *MemoryImage) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := WriteMemoryImage(bw, m); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return Save(path, func(w io.Writer) error { return WriteMemoryImage(w, m) })
 }
 
 // LoadMemoryImage reads an image from path.
 func LoadMemoryImage(path string) (*MemoryImage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadMemoryImage(bufio.NewReader(f))
+	return Load(path, ReadMemoryImage)
 }

@@ -1,11 +1,8 @@
 package snapshot
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -152,49 +149,27 @@ func CoalesceGroups(groups []Group, maxGap int64) []Group {
 
 // WriteOffsetsWS serializes ws to w.
 func WriteOffsetsWS(w io.Writer, ws *OffsetsWS) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, magicOffsets); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(len(ws.Groups))); err != nil {
-		return err
-	}
-	for _, g := range ws.Groups {
-		if err := binary.Write(cw, binary.LittleEndian, []int64{g.Start, g.NPages}); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	fw := NewWriter(w, MagicOffsets)
+	fw.Put(int64(len(ws.Groups)), ws.Groups)
+	return fw.Close()
 }
 
 // ReadOffsetsWS parses an offsets working set.
 func ReadOffsetsWS(r io.Reader) (*OffsetsWS, error) {
-	cr := &crcReader{r: r}
-	if err := readHeader(cr, magicOffsets, "offsets ws"); err != nil {
+	fr, err := NewReader(r, MagicOffsets, "offsets ws")
+	if err != nil {
 		return nil, err
 	}
 	var n int64
-	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
+	if err := fr.Get(&n); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("snapshot: implausible group count %d", n)
-	}
-	ws := &OffsetsWS{Groups: make([]Group, n)}
-	for i := range ws.Groups {
-		var v [2]int64
-		if err := binary.Read(cr, binary.LittleEndian, v[:]); err != nil {
-			return nil, fmt.Errorf("snapshot: truncated offsets ws: %w", err)
-		}
-		ws.Groups[i] = Group{Start: v[0], NPages: v[1]}
-	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
+	ws := &OffsetsWS{}
+	if ws.Groups, err = ReadSlice[Group](fr, n); err != nil {
 		return nil, err
 	}
-	if sum != want {
-		return nil, fmt.Errorf("snapshot: offsets ws checksum mismatch")
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
 	return ws, nil
 }
@@ -204,162 +179,81 @@ func WritePagedWS(w io.Writer, ws *PagedWS) error {
 	if len(ws.Pages) != len(ws.Tags) {
 		return fmt.Errorf("snapshot: paged ws pages/tags length mismatch")
 	}
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, magicPaged); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(len(ws.Pages))); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, ws.Pages); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, ws.Tags); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	fw := NewWriter(w, MagicPaged)
+	fw.Put(int64(len(ws.Pages)), ws.Pages, ws.Tags)
+	return fw.Close()
 }
 
 // ReadPagedWS parses a paged working set.
 func ReadPagedWS(r io.Reader) (*PagedWS, error) {
-	cr := &crcReader{r: r}
-	if err := readHeader(cr, magicPaged, "paged ws"); err != nil {
+	fr, err := NewReader(r, MagicPaged, "paged ws")
+	if err != nil {
 		return nil, err
 	}
 	var n int64
-	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
+	if err := fr.Get(&n); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("snapshot: implausible page count %d", n)
-	}
-	ws := &PagedWS{Pages: make([]int64, n), Tags: make([]uint64, n)}
-	if err := binary.Read(cr, binary.LittleEndian, ws.Pages); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated paged ws: %w", err)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, ws.Tags); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated paged ws tags: %w", err)
-	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
+	ws := &PagedWS{}
+	if ws.Pages, err = ReadSlice[int64](fr, n); err != nil {
 		return nil, err
 	}
-	if sum != want {
-		return nil, fmt.Errorf("snapshot: paged ws checksum mismatch")
+	if ws.Tags, err = ReadSlice[uint64](fr, n); err != nil {
+		return nil, err
+	}
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
 	return ws, nil
 }
 
 // WriteRegionWS serializes ws to w.
 func WriteRegionWS(w io.Writer, ws *RegionWS) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, magicRegion); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, []int64{int64(len(ws.Regions)), ws.WSPages}); err != nil {
-		return err
-	}
-	for _, g := range ws.Regions {
-		if err := binary.Write(cw, binary.LittleEndian, []int64{g.Start, g.NPages}); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	fw := NewWriter(w, MagicRegion)
+	fw.Put(int64(len(ws.Regions)), ws.WSPages, ws.Regions)
+	return fw.Close()
 }
 
 // ReadRegionWS parses a region working set.
 func ReadRegionWS(r io.Reader) (*RegionWS, error) {
-	cr := &crcReader{r: r}
-	if err := readHeader(cr, magicRegion, "region ws"); err != nil {
+	fr, err := NewReader(r, MagicRegion, "region ws")
+	if err != nil {
 		return nil, err
 	}
-	var hdr [2]int64
-	if err := binary.Read(cr, binary.LittleEndian, hdr[:]); err != nil {
+	var n int64
+	ws := &RegionWS{}
+	if err := fr.Get(&n, &ws.WSPages); err != nil {
 		return nil, err
 	}
-	n, wsPages := hdr[0], hdr[1]
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("snapshot: implausible region count %d", n)
-	}
-	ws := &RegionWS{Regions: make([]Group, n), WSPages: wsPages}
-	for i := range ws.Regions {
-		var v [2]int64
-		if err := binary.Read(cr, binary.LittleEndian, v[:]); err != nil {
-			return nil, fmt.Errorf("snapshot: truncated region ws: %w", err)
-		}
-		ws.Regions[i] = Group{Start: v[0], NPages: v[1]}
-	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
+	if ws.Regions, err = ReadSlice[Group](fr, n); err != nil {
 		return nil, err
 	}
-	if sum != want {
-		return nil, fmt.Errorf("snapshot: region ws checksum mismatch")
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
 	return ws, nil
 }
 
-// saveTo writes any of the WS types to a file.
-func saveTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := write(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // SaveFile writes the working set to path.
 func (ws *OffsetsWS) SaveFile(path string) error {
-	return saveTo(path, func(w io.Writer) error { return WriteOffsetsWS(w, ws) })
+	return Save(path, func(w io.Writer) error { return WriteOffsetsWS(w, ws) })
 }
 
 // SaveFile writes the working set to path.
 func (ws *PagedWS) SaveFile(path string) error {
-	return saveTo(path, func(w io.Writer) error { return WritePagedWS(w, ws) })
+	return Save(path, func(w io.Writer) error { return WritePagedWS(w, ws) })
 }
 
 // SaveFile writes the working set to path.
 func (ws *RegionWS) SaveFile(path string) error {
-	return saveTo(path, func(w io.Writer) error { return WriteRegionWS(w, ws) })
+	return Save(path, func(w io.Writer) error { return WriteRegionWS(w, ws) })
 }
 
 // LoadOffsetsWS reads an offsets working set from path.
-func LoadOffsetsWS(path string) (*OffsetsWS, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadOffsetsWS(bufio.NewReader(f))
-}
+func LoadOffsetsWS(path string) (*OffsetsWS, error) { return Load(path, ReadOffsetsWS) }
 
 // LoadPagedWS reads a paged working set from path.
-func LoadPagedWS(path string) (*PagedWS, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPagedWS(bufio.NewReader(f))
-}
+func LoadPagedWS(path string) (*PagedWS, error) { return Load(path, ReadPagedWS) }
 
 // LoadRegionWS reads a region working set from path.
-func LoadRegionWS(path string) (*RegionWS, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadRegionWS(bufio.NewReader(f))
-}
+func LoadRegionWS(path string) (*RegionWS, error) { return Load(path, ReadRegionWS) }

@@ -16,11 +16,7 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"sort"
 
 	"snapbpf/internal/units"
@@ -140,120 +136,4 @@ func (m *Manifest) TotalBytes() int64 {
 		n += c.NPages
 	}
 	return int64(units.PagesToBytes(n))
-}
-
-// --- serialization ---
-
-const manifestMagic = 0x53424d46 // "SBMF"
-
-// maxDecodeAlloc caps the chunk-slice capacity pre-allocated from an
-// attacker-controlled count field. A forged length larger than this
-// still decodes (append grows the slice), it just cannot over-allocate
-// up front — the same allocation-DoS fix trace.Read carries.
-const maxDecodeAlloc = 1 << 16
-
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
-	return cw.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// Encode serializes the manifest: magic, function name, page count,
-// chunk records, CRC32 trailer.
-func (m *Manifest) Encode() []byte {
-	var buf bytes.Buffer
-	cw := &crcWriter{w: &buf}
-	binary.Write(cw, binary.LittleEndian, uint32(manifestMagic))
-	name := []byte(m.Fn)
-	binary.Write(cw, binary.LittleEndian, int64(len(name)))
-	cw.Write(name)
-	binary.Write(cw, binary.LittleEndian, m.NrPages)
-	binary.Write(cw, binary.LittleEndian, int64(len(m.Chunks)))
-	for _, c := range m.Chunks {
-		binary.Write(cw, binary.LittleEndian, c.ID)
-		binary.Write(cw, binary.LittleEndian, []int64{c.Start, c.NPages})
-	}
-	binary.Write(&buf, binary.LittleEndian, cw.crc)
-	return buf.Bytes()
-}
-
-// DecodeManifest parses and validates an encoded manifest. Truncated,
-// checksum-damaged or extent-invalid inputs are rejected; a forged
-// chunk count cannot force a large allocation.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	r := bytes.NewReader(data)
-	cr := &crcReader{r: r}
-	var magic uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest: %w", err)
-	}
-	if magic != manifestMagic {
-		return nil, fmt.Errorf("store: bad manifest magic %#x", magic)
-	}
-	var nameLen int64
-	if err := binary.Read(cr, binary.LittleEndian, &nameLen); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest: %w", err)
-	}
-	if nameLen < 0 || nameLen > 4096 {
-		return nil, fmt.Errorf("store: implausible manifest name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(cr, name); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest name: %w", err)
-	}
-	m := &Manifest{Fn: string(name)}
-	if err := binary.Read(cr, binary.LittleEndian, &m.NrPages); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest: %w", err)
-	}
-	var n int64
-	if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest: %w", err)
-	}
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("store: implausible chunk count %d", n)
-	}
-	alloc := n
-	if alloc > maxDecodeAlloc {
-		alloc = maxDecodeAlloc
-	}
-	m.Chunks = make([]ChunkRef, 0, alloc)
-	for i := int64(0); i < n; i++ {
-		var c ChunkRef
-		if err := binary.Read(cr, binary.LittleEndian, &c.ID); err != nil {
-			return nil, fmt.Errorf("store: truncated manifest chunk %d: %w", i, err)
-		}
-		var v [2]int64
-		if err := binary.Read(cr, binary.LittleEndian, v[:]); err != nil {
-			return nil, fmt.Errorf("store: truncated manifest chunk %d: %w", i, err)
-		}
-		c.Start, c.NPages = v[0], v[1]
-		m.Chunks = append(m.Chunks, c)
-	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("store: manifest checksum mismatch")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -1,11 +1,7 @@
 package store
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,45 +102,6 @@ func TestValidateRejectsBadExtents(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	for _, m := range []*Manifest{
-		BuildManifest("json", testTags(1000), 64),
-		BuildManifest("", nil, 16), // empty image, empty name
-		{Fn: "dup", NrPages: 8, Chunks: []ChunkRef{{ID: 7, Start: 0, NPages: 4}, {ID: 7, Start: 4, NPages: 4}}},
-	} {
-		got, err := DecodeManifest(m.Encode())
-		if err != nil {
-			t.Fatalf("%q: decode: %v", m.Fn, err)
-		}
-		if !manifestsEqual(got, m) {
-			t.Fatalf("%q: round trip drifted:\n got %+v\nwant %+v", m.Fn, got, m)
-		}
-	}
-	// Permuted chunk order survives the trip too.
-	m := BuildManifest("perm", testTags(1000), 64)
-	PermuteChunks(m, 42)
-	got, err := DecodeManifest(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !manifestsEqual(got, m) {
-		t.Fatal("permuted round trip drifted")
-	}
-}
-
-// manifestsEqual compares treating nil and empty chunk slices as equal.
-func manifestsEqual(a, b *Manifest) bool {
-	if a.Fn != b.Fn || a.NrPages != b.NrPages || len(a.Chunks) != len(b.Chunks) {
-		return false
-	}
-	for i := range a.Chunks {
-		if a.Chunks[i] != b.Chunks[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestPermuteChunksDeterministic(t *testing.T) {
 	base := BuildManifest("p", testTags(1000), 64)
 	a := BuildManifest("p", testTags(1000), 64)
@@ -171,133 +128,4 @@ func TestPermuteChunksDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(set(a.Chunks), set(base.Chunks)) {
 		t.Fatal("permutation changed the chunk set")
 	}
-}
-
-func TestDecodeManifestAdversarial(t *testing.T) {
-	valid := BuildManifest("json", testTags(512), 64).Encode()
-
-	// Every proper prefix must fail cleanly (truncation at any byte).
-	for i := 0; i < len(valid); i++ {
-		if _, err := DecodeManifest(valid[:i]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", i)
-		}
-	}
-
-	// Any single flipped byte must fail the checksum (or a bound).
-	for i := 0; i < len(valid); i++ {
-		bad := append([]byte(nil), valid...)
-		bad[i] ^= 0xff
-		if _, err := DecodeManifest(bad); err == nil {
-			t.Fatalf("flipped byte %d accepted", i)
-		}
-	}
-
-	// Trailing garbage after the checksum is ignored by the reader but
-	// harmless; the decode of the intact prefix still succeeds.
-	if _, err := DecodeManifest(append(append([]byte(nil), valid...), 0xaa)); err != nil {
-		t.Fatalf("trailing byte broke decode: %v", err)
-	}
-
-	if _, err := DecodeManifest(nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := DecodeManifest([]byte("not a manifest at all")); err == nil {
-		t.Fatal("junk accepted")
-	}
-}
-
-// TestDecodeManifestForgedCount crafts encodings whose chunk-count
-// field promises far more records than the payload carries: the decoder
-// must reject them without allocating for the forged count (the
-// allocation-DoS cap).
-func TestDecodeManifestForgedCount(t *testing.T) {
-	craft := func(count int64) []byte {
-		m := &Manifest{Fn: "forged", NrPages: 8,
-			Chunks: []ChunkRef{{ID: 1, Start: 0, NPages: 8}}}
-		data := m.Encode()
-		// The count field sits after magic(4) + nameLen(8) + name(6) +
-		// NrPages(8); patch it and recompute the trailer so only the
-		// count is forged.
-		off := 4 + 8 + len(m.Fn) + 8
-		for i := 0; i < 8; i++ {
-			data[off+i] = byte(count >> (8 * i))
-		}
-		body := data[:len(data)-4]
-		sum := crcOf(body)
-		copy(data[len(data)-4:], []byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
-		return data
-	}
-	for _, count := range []int64{-1, 2, 1 << 20, maxDecodeAlloc + 1, 1 << 30, 1<<30 + 1, 1 << 62} {
-		if _, err := DecodeManifest(craft(count)); err == nil {
-			t.Errorf("forged chunk count %d accepted", count)
-		}
-	}
-}
-
-// crcOf mirrors the encoder's running checksum for test crafting.
-func crcOf(body []byte) uint32 {
-	cw := &crcWriter{w: discard{}}
-	cw.Write(body)
-	return cw.crc
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-var regenCorpus = flag.Bool("regen-corpus", false,
-	"rewrite the committed FuzzManifest seed corpus under testdata")
-
-// TestGenerateFuzzCorpus regenerates the committed FuzzManifest seed
-// corpus; run with -regen-corpus to rewrite testdata.
-func TestGenerateFuzzCorpus(t *testing.T) {
-	if !*regenCorpus {
-		t.Skip("pass -regen-corpus to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzManifest")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	valid := BuildManifest("json", testTags(512), 64).Encode()
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0xff
-	seeds := map[string][]byte{
-		"empty":     {},
-		"magic":     []byte("FMBS"),
-		"valid":     valid,
-		"truncated": valid[:len(valid)/2],
-		"flipped":   flipped,
-		"tiny":      (&Manifest{Fn: "t", NrPages: 1, Chunks: []ChunkRef{{ID: 3, Start: 0, NPages: 1}}}).Encode(),
-	}
-	for name, data := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func FuzzManifest(f *testing.F) {
-	valid := BuildManifest("json", testTags(512), 64).Encode()
-	f.Add([]byte{})
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeManifest(data)
-		if err != nil {
-			return // rejected inputs just must not panic or over-allocate
-		}
-		// Anything the decoder accepts must be internally valid and
-		// survive a re-encode round trip byte-compatibly.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid manifest: %v", err)
-		}
-		again, err := DecodeManifest(m.Encode())
-		if err != nil {
-			t.Fatalf("re-encode of an accepted manifest rejected: %v", err)
-		}
-		if !manifestsEqual(again, m) {
-			t.Fatalf("re-encode round trip drifted:\n got %+v\nwant %+v", again, m)
-		}
-	})
 }

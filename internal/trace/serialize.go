@@ -1,23 +1,22 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"time"
+
+	"snapbpf/internal/snapshot"
 )
 
-// On-disk trace format (.trace): header (magic, version, op count),
-// fixed 24-byte op records, CRC32 trailer. Traces are shareable
-// workload artifacts: a recorded production invocation can be replayed
-// against any prefetching scheme.
+// On-disk trace format (.trace): the snapshot package's artifact frame
+// around a uint32 op count and fixed 24-byte op records. Traces are
+// shareable workload artifacts: a recorded production invocation can
+// be replayed against any prefetching scheme.
 
 const (
-	traceMagic   = 0x54524345 // "TRCE"
-	traceVersion = 1
+	// Magic identifies a .trace artifact.
+	Magic        = 0x54524345 // "TRCE"
 	opRecordSize = 24
 )
 
@@ -26,22 +25,14 @@ func (t *Trace) Write(w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("trace: refusing to write invalid trace: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	hdr := []uint32{traceMagic, traceVersion, uint32(len(t.Ops))}
-	if err := binary.Write(mw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	var rec [opRecordSize]byte
+	recs := make([]byte, len(t.Ops)*opRecordSize)
 	for i := range t.Ops {
-		op := &t.Ops[i]
+		op, rec := &t.Ops[i], recs[i*opRecordSize:]
 		rec[0] = byte(op.Kind)
 		if op.Write {
 			rec[1] = 1
-		} else {
-			rec[1] = 0
 		}
-		binary.LittleEndian.PutUint16(rec[2:], 0) // reserved
+		// rec[2:4] is reserved and stays zero.
 		binary.LittleEndian.PutUint32(rec[4:], uint32(op.Handle))
 		binary.LittleEndian.PutUint64(rec[8:], uint64(op.Page))
 		binary.LittleEndian.PutUint32(rec[16:], uint32(op.NPages))
@@ -52,46 +43,32 @@ func (t *Trace) Write(w io.Writer) error {
 		} else {
 			binary.LittleEndian.PutUint32(rec[20:], uint32(op.Offset))
 		}
-		if _, err := mw.Write(rec[:]); err != nil {
-			return err
-		}
 	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+	fw := snapshot.NewWriter(w, Magic)
+	fw.Put(uint32(len(t.Ops)), recs)
+	return fw.Close()
 }
 
 // Read parses a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-	var hdr [3]uint32
-	if err := binary.Read(tr, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+	fr, err := snapshot.NewReader(r, Magic, "trace")
+	if err != nil {
+		return nil, err
 	}
-	if hdr[0] != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", hdr[0])
+	var n uint32
+	if err := fr.Get(&n); err != nil {
+		return nil, err
 	}
-	if hdr[1] != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[1])
+	recs, err := snapshot.ReadSlice[byte](fr, int64(n)*opRecordSize)
+	if err != nil {
+		return nil, err
 	}
-	n := int(hdr[2])
-	if n < 0 || n > 1<<28 {
-		return nil, fmt.Errorf("trace: implausible op count %d", n)
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
-	// Grow incrementally rather than trusting the header's count for a
-	// single up-front allocation: a forged header must not make a
-	// 14-byte input allocate gigabytes before truncation is noticed.
-	alloc := n
-	if alloc > 1<<16 {
-		alloc = 1 << 16
-	}
-	t := &Trace{Ops: make([]Op, 0, alloc)}
-	var rec [opRecordSize]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(tr, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at op %d: %w", i, err)
-		}
-		t.Ops = append(t.Ops, Op{})
-		op := &t.Ops[i]
+	t := &Trace{Ops: make([]Op, n)}
+	for i := range t.Ops {
+		op, rec := &t.Ops[i], recs[i*opRecordSize:]
 		op.Kind = OpKind(rec[0])
 		op.Write = rec[1] != 0
 		op.Handle = int32(binary.LittleEndian.Uint32(rec[4:]))
@@ -104,14 +81,6 @@ func Read(r io.Reader) (*Trace, error) {
 			op.Offset = int32(last)
 		}
 	}
-	sum := crc.Sum32()
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("trace: missing checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("trace: checksum mismatch")
-	}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: decoded trace invalid: %w", err)
 	}
@@ -119,29 +88,7 @@ func Read(r io.Reader) (*Trace, error) {
 }
 
 // SaveFile writes the trace to path.
-func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := t.Write(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (t *Trace) SaveFile(path string) error { return snapshot.Save(path, t.Write) }
 
 // LoadFile reads a trace from path.
-func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(bufio.NewReader(f))
-}
+func LoadFile(path string) (*Trace, error) { return snapshot.Load(path, Read) }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -101,5 +104,24 @@ func TestGapMicrosecondGranularity(t *testing.T) {
 	// Sub-microsecond precision is dropped by the format.
 	if got.Ops[0].Gap != 1*time.Microsecond {
 		t.Fatalf("gap = %v", got.Ops[0].Gap)
+	}
+}
+
+// A header promising 2^32-1 ops (~100 GiB of records) with no body
+// must fail on truncation without allocating what the count claims.
+func TestTraceForgedCount(t *testing.T) {
+	var data []byte
+	for _, v := range []uint32{Magic, 1, math.MaxUint32} {
+		data = binary.LittleEndian.AppendUint32(data, v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged op count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("allocated %d bytes before failing: %v", grew, err)
 	}
 }

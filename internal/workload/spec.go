@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -35,8 +34,7 @@ type FuncShare struct {
 }
 
 // TenantSpec describes one tenant's traffic: an arrival process, a
-// function mix, and an SLO class. The zero value is invalid; build
-// specs literally or with ParseTenantSpec.
+// function mix, and an SLO class. The zero value is invalid.
 type TenantSpec struct {
 	Name string
 
@@ -119,132 +117,6 @@ func (t TenantSpec) Validate() error {
 		return fmt.Errorf("workload: tenant %s: class %q contains separator characters", t.Name, t.Class)
 	}
 	return nil
-}
-
-// ParseTenantSpec parses the one-line tenant syntax used by the bench
-// CLI and test fixtures:
-//
-//	name=acme rate=2.5 arrival=poisson funcs=json:3,html:1 class=latency
-//	name=batchco rate=0.5 arrival=gamma:0.5 funcs=image,video zipf=1.1
-//
-// Keys may appear in any order; name, rate, arrival, and funcs are
-// required. funcs entries are name[:weight] (weight defaults to 1).
-// With zipf set, per-function weights are rejected: the exponent
-// alone determines the mix. The result round-trips through String.
-func ParseTenantSpec(line string) (TenantSpec, error) {
-	var t TenantSpec
-	t.Arrival = ArrivalPoisson
-	seen := make(map[string]bool)
-	explicitWeight := false
-	for _, tok := range strings.Fields(line) {
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok || key == "" {
-			return t, fmt.Errorf("workload: tenant spec token %q is not key=value", tok)
-		}
-		if seen[key] {
-			return t, fmt.Errorf("workload: duplicate key %q in tenant spec", key)
-		}
-		seen[key] = true
-		switch key {
-		case "name":
-			t.Name = val
-		case "rate":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return t, fmt.Errorf("workload: bad rate %q: %v", val, err)
-			}
-			t.RatePerSec = f
-		case "arrival":
-			kind, shape, hasShape := strings.Cut(val, ":")
-			t.Arrival = kind
-			if hasShape {
-				if kind != ArrivalGamma {
-					return t, fmt.Errorf("workload: arrival %q takes no parameter", kind)
-				}
-				f, err := strconv.ParseFloat(shape, 64)
-				if err != nil {
-					return t, fmt.Errorf("workload: bad gamma shape %q: %v", shape, err)
-				}
-				t.Shape = f
-			} else if kind == ArrivalGamma {
-				t.Shape = 1
-			}
-		case "funcs":
-			for _, ent := range strings.Split(val, ",") {
-				name, w, hasW := strings.Cut(ent, ":")
-				fs := FuncShare{Name: name, Weight: 1}
-				if hasW {
-					f, err := strconv.ParseFloat(w, 64)
-					if err != nil {
-						return t, fmt.Errorf("workload: bad weight %q for function %q: %v", w, name, err)
-					}
-					fs.Weight = f
-					explicitWeight = true
-				}
-				t.Funcs = append(t.Funcs, fs)
-			}
-		case "zipf":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return t, fmt.Errorf("workload: bad zipf exponent %q: %v", val, err)
-			}
-			t.Zipf = f
-		case "class":
-			t.Class = SLOClass(val)
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return t, fmt.Errorf("workload: bad seed %q: %v", val, err)
-			}
-			t.Seed = n
-		default:
-			return t, fmt.Errorf("workload: unknown tenant spec key %q", key)
-		}
-	}
-	for _, req := range []string{"name", "rate", "funcs"} {
-		if !seen[req] {
-			return t, fmt.Errorf("workload: tenant spec missing required key %q", req)
-		}
-	}
-	if t.Zipf > 0 && explicitWeight {
-		return t, fmt.Errorf("workload: tenant %s: zipf and explicit function weights are mutually exclusive", t.Name)
-	}
-	if err := t.Validate(); err != nil {
-		return t, err
-	}
-	return t, nil
-}
-
-// String renders the spec in the canonical one-line syntax;
-// ParseTenantSpec(t.String()) reproduces t exactly for valid specs.
-func (t TenantSpec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "name=%s rate=%s", t.Name, strconv.FormatFloat(t.RatePerSec, 'g', -1, 64))
-	if t.Arrival == ArrivalGamma {
-		fmt.Fprintf(&b, " arrival=gamma:%s", strconv.FormatFloat(t.Shape, 'g', -1, 64))
-	} else {
-		fmt.Fprintf(&b, " arrival=%s", t.Arrival)
-	}
-	b.WriteString(" funcs=")
-	for i, fs := range t.Funcs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(fs.Name)
-		if t.Zipf == 0 {
-			fmt.Fprintf(&b, ":%s", strconv.FormatFloat(fs.Weight, 'g', -1, 64))
-		}
-	}
-	if t.Zipf > 0 {
-		fmt.Fprintf(&b, " zipf=%s", strconv.FormatFloat(t.Zipf, 'g', -1, 64))
-	}
-	if t.Class != "" {
-		fmt.Fprintf(&b, " class=%s", t.Class)
-	}
-	if t.Seed != 0 {
-		fmt.Fprintf(&b, " seed=%d", t.Seed)
-	}
-	return b.String()
 }
 
 // ClusterSpec is a full region workload: a set of tenants generating

@@ -1,91 +1,64 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestParseTenantSpecRoundTrip(t *testing.T) {
-	lines := []string{
-		"name=acme rate=1.5 funcs=json:3,html:1",
-		"name=acme rate=1.5 arrival=poisson funcs=json:1",
-		"name=batchco rate=0.5 arrival=gamma:0.5 funcs=image,video zipf=1.1",
-		"name=burst rate=100 arrival=gamma:2 funcs=json:1 class=latency seed=42",
-		"name=t rate=2.5e-1 funcs=a:0.25,b:0.75 class=batch",
+func TestTenantSpecValidate(t *testing.T) {
+	ok := TenantSpec{Name: "x", RatePerSec: 1, Arrival: ArrivalPoisson,
+		Funcs: []FuncShare{{Name: "json", Weight: 1}}}
+	with := func(edit func(*TenantSpec)) TenantSpec {
+		s := ok
+		s.Funcs = append([]FuncShare(nil), ok.Funcs...)
+		edit(&s)
+		return s
 	}
-	for _, line := range lines {
-		spec, err := ParseTenantSpec(line)
-		if err != nil {
-			t.Fatalf("parse %q: %v", line, err)
-		}
-		again, err := ParseTenantSpec(spec.String())
-		if err != nil {
-			t.Fatalf("reparse %q (from %q): %v", spec.String(), line, err)
-		}
-		if !reflect.DeepEqual(spec, again) {
-			t.Errorf("round trip of %q: %+v != %+v", line, spec, again)
-		}
-		if spec.String() != again.String() {
-			t.Errorf("canonical form of %q unstable: %q != %q", line, spec.String(), again.String())
-		}
-	}
-}
-
-func TestParseTenantSpecDefaults(t *testing.T) {
-	spec, err := ParseTenantSpec("name=x rate=1 funcs=json,html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Arrival != ArrivalPoisson {
-		t.Errorf("default arrival = %q, want poisson", spec.Arrival)
-	}
-	for _, fs := range spec.Funcs {
-		if fs.Weight != 1 {
-			t.Errorf("default weight for %s = %v, want 1", fs.Name, fs.Weight)
-		}
-	}
-	gamma, err := ParseTenantSpec("name=x rate=1 arrival=gamma funcs=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gamma.Shape != 1 {
-		t.Errorf("bare gamma shape = %v, want 1", gamma.Shape)
-	}
-}
-
-func TestParseTenantSpecErrors(t *testing.T) {
 	cases := []struct {
-		line, want string
+		name string
+		spec TenantSpec
+		want string
 	}{
-		{"", "missing required key"},
-		{"name=x rate=1", "missing required key \"funcs\""},
-		{"rate=1 funcs=json", "missing required key \"name\""},
-		{"name=x funcs=json", "missing required key \"rate\""},
-		{"name=x rate=0 funcs=json", "rate must be positive"},
-		{"name=x rate=-2 funcs=json", "rate must be positive"},
-		{"name=x rate=NaN funcs=json", "rate must be positive"},
-		{"name=x rate=1 funcs=json name=y", "duplicate key"},
-		{"name=x rate=1 funcs=json,json", "duplicate function"},
-		{"name=x rate=1 funcs=json:-1", "bad weight"},
-		{"name=x rate=1 funcs=json:0,html:0", "weights sum to zero"},
-		{"name=x rate=1 funcs=json:2 zipf=1", "mutually exclusive"},
-		{"name=x rate=1 funcs=json zipf=-1", "zipf exponent"},
-		{"name=x rate=1 arrival=uniform funcs=json", "unknown arrival"},
-		{"name=x rate=1 arrival=poisson:2 funcs=json", "takes no parameter"},
-		{"name=x rate=1 arrival=gamma:0 funcs=json", "gamma shape"},
-		{"name=x rate=1 funcs=json color=red", "unknown tenant spec key"},
-		{"name=x rate=1 funcs=json garbage", "not key=value"},
-		{"name=a=b rate=1 funcs=json", "separator characters"},
-		{"name=x rate=1 funcs=", "empty function name"},
-		{"name=x rate=1 funcs=json seed=abc", "bad seed"},
+		{"empty name", with(func(s *TenantSpec) { s.Name = "" }), "empty name"},
+		{"separator in name", with(func(s *TenantSpec) { s.Name = "a=b" }), "separator characters"},
+		{"zero rate", with(func(s *TenantSpec) { s.RatePerSec = 0 }), "rate must be positive"},
+		{"negative rate", with(func(s *TenantSpec) { s.RatePerSec = -2 }), "rate must be positive"},
+		{"NaN rate", with(func(s *TenantSpec) { s.RatePerSec = math.NaN() }), "rate must be positive"},
+		{"infinite rate", with(func(s *TenantSpec) { s.RatePerSec = math.Inf(1) }), "rate must be positive"},
+		{"unknown arrival", with(func(s *TenantSpec) { s.Arrival = "uniform" }), "unknown arrival"},
+		{"empty arrival", with(func(s *TenantSpec) { s.Arrival = "" }), "unknown arrival"},
+		{"zero gamma shape", with(func(s *TenantSpec) { s.Arrival, s.Shape = ArrivalGamma, 0 }), "gamma shape"},
+		{"infinite gamma shape", with(func(s *TenantSpec) { s.Arrival, s.Shape = ArrivalGamma, math.Inf(1) }), "gamma shape"},
+		{"empty mix", with(func(s *TenantSpec) { s.Funcs = nil }), "empty function mix"},
+		{"negative zipf", with(func(s *TenantSpec) { s.Zipf = -1 }), "zipf exponent"},
+		{"NaN zipf", with(func(s *TenantSpec) { s.Zipf = math.NaN() }), "zipf exponent"},
+		{"empty function", with(func(s *TenantSpec) { s.Funcs[0].Name = "" }), "empty function name"},
+		{"separator in function", with(func(s *TenantSpec) { s.Funcs[0].Name = "a:b" }), "separator characters"},
+		{"duplicate function", with(func(s *TenantSpec) { s.Funcs = append(s.Funcs, s.Funcs[0]) }), "duplicate function"},
+		{"negative weight", with(func(s *TenantSpec) { s.Funcs[0].Weight = -1 }), "bad weight"},
+		{"NaN weight", with(func(s *TenantSpec) { s.Funcs[0].Weight = math.NaN() }), "bad weight"},
+		{"zero weights", with(func(s *TenantSpec) { s.Funcs[0].Weight = 0 }), "weights sum to zero"},
+		{"separator in class", with(func(s *TenantSpec) { s.Class = "a b" }), "separator characters"},
 	}
 	for _, c := range cases {
-		if _, err := ParseTenantSpec(c.line); err == nil {
-			t.Errorf("parse %q: expected error containing %q, got nil", c.line, c.want)
+		if err := c.spec.Validate(); err == nil {
+			t.Errorf("%s: expected error containing %q, got nil", c.name, c.want)
 		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("parse %q: error %q does not contain %q", c.line, err, c.want)
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
+		}
+	}
+	for _, good := range []TenantSpec{
+		ok,
+		with(func(s *TenantSpec) { s.Arrival, s.Shape = ArrivalGamma, 0.5 }),
+		// With a zipf exponent the weights are ignored, so zero is fine.
+		with(func(s *TenantSpec) { s.Zipf, s.Funcs[0].Weight = 1.1, 0 }),
+		with(func(s *TenantSpec) { s.Class, s.Seed = ClassLatency, 42 }),
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid spec %+v rejected: %v", good, err)
 		}
 	}
 }

@@ -28,6 +28,8 @@ declare -A floors=(
   [snapbpf/internal/calib]=85.0
   [snapbpf/internal/obs]=64.0
   [snapbpf/internal/store]=88.0
+  [snapbpf/internal/snapshot]=92.5
+  [snapbpf/internal/trace]=88.5
   [snapbpf/internal/testbed]=90.0
   [snapbpf/internal/analysis]=98.0
   [snapbpf/internal/analysis/passes/detnondet]=89.0
