@@ -1,11 +1,13 @@
 package calib
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"snapbpf/internal/experiments"
+	"snapbpf/internal/workload"
 )
 
 func tableWith(id string, cols []string, rows ...[]string) *experiments.Table {
@@ -111,17 +113,24 @@ func TestOverheadsClaim(t *testing.T) {
 
 func TestFig3aClaim(t *testing.T) {
 	c := claimFor(t, "fig3a", "matches")
-	cols := []string{"Function", "REAP", "FaaSnap", "SnapBPF", "SnapBPF (s)"}
-	good := tableWith("fig3a", cols,
-		[]string{"json", "1.20", "1.05", "1.00", "0.1"},
-		[]string{"bert", "1.50", "1.10", "1.00", "1.7"})
+	good := fig3aSuite(workload.Names(), "1.20", "1.05")
 	if m, ok := c.check(good); !ok {
 		t.Fatalf("good fig3a rejected: %s", m)
 	}
-	bad := tableWith("fig3a", cols, []string{"json", "0.60", "0.70", "1.00", "0.1"})
+	bad := fig3aSuite(workload.Names(), "0.60", "0.70")
 	if _, ok := c.check(bad); ok {
 		t.Fatal("SnapBPF-losing fig3a accepted")
 	}
+}
+
+// fig3aSuite is a fig3a table with one row per named function, each
+// with the given normalised REAP and FaaSnap latencies.
+func fig3aSuite(names []string, reap, faasnap string) *experiments.Table {
+	t := tableWith("fig3a", []string{"Function", "REAP", "FaaSnap", "SnapBPF", "SnapBPF (s)"})
+	for _, name := range names {
+		t.AddRow(name, reap, faasnap, "1.00", "0.1")
+	}
+	return t
 }
 
 func TestFig3cClaim(t *testing.T) {
@@ -163,6 +172,19 @@ func TestClaimsOnFunctionSubsets(t *testing.T) {
 		if m, ok := claimFor(t, "fig4", substr).check(jsonOnly); !ok || !strings.Contains(m, "not in suite") {
 			t.Errorf("fig4 %q claim on json only: %q, %v; want vacuous", substr, m, ok)
 		}
+	}
+	// fig3a's suite mean is vacuous short of the whole suite, even where
+	// the functions that ran lose on average.
+	mean := claimFor(t, "fig3a", "matches")
+	suite := workload.Names()
+	for _, names := range [][]string{{"json"}, suite[1:]} {
+		want := fmt.Sprintf("%d of %d suite functions in table", len(names), len(suite))
+		if m, ok := mean.check(fig3aSuite(names, "0.99", "1.08")); !ok || m != want {
+			t.Errorf("fig3a claim on %d functions: %q, %v; want vacuous", len(names), m, ok)
+		}
+	}
+	if m, ok := mean.check(fig3aSuite(suite, "0.99", "1.08")); ok {
+		t.Errorf("fig3a claim on the full suite at REAP 0.99x holds: %q", m)
 	}
 	mem := claimFor(t, "fig3c", "6x")
 	if m, ok := mem.check(tableWith("fig3c", fig3bCols, []string{"json", "1", "1", "2", "1", "2.4x"})); !ok || m != "bfs/bert not in suite" {

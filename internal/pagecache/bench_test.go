@@ -10,8 +10,8 @@ import (
 )
 
 // Microbenchmarks for the page-cache hot paths the experiments stress:
-// insertion (with and without an attached kprobe consumer) and hit
-// lookups.
+// insertion (with and without an attached kprobe consumer), hit
+// lookups and the full miss path.
 
 func BenchmarkReadaheadInsert(b *testing.B) {
 	eng := sim.NewEngine()
@@ -37,6 +37,25 @@ func BenchmarkFaultHit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ino.FaultPageUnpinned(p, int64(i%1024))
+		}
+	})
+	eng.Run()
+}
+
+// BenchmarkFaultMiss demand-faults distinct pages with readahead off,
+// so every iteration is an insert, a device submit, a completion relay
+// and a wake of the faulting process.
+func BenchmarkFaultMiss(b *testing.B) {
+	eng := sim.NewEngine()
+	dev := blockdev.New(eng, blockdev.MicronSATA5300())
+	c := New(eng, dev, kprobe.NewRegistry(), costmodel.Default())
+	c.RAPages = 0
+	ino := c.NewInode("f", int64(b.N))
+	eng.Go("misses", func(p *sim.Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ino.FaultPageUnpinned(p, int64(i))
 		}
 	})
 	eng.Run()

@@ -49,7 +49,7 @@ func (c *Cache) reclaim() {
 		pg := e.Value.(*Page)
 		if pg.Uptodate() && pg.mapCount == 0 && pg.pins == 0 {
 			c.dropLRU(pg)
-			delete(pg.inode.pages, pg.index)
+			pg.inode.clearPage(pg.index)
 			c.nrCached--
 			c.stats.Evicted++
 			for _, o := range c.obs {
@@ -64,14 +64,14 @@ func (c *Cache) reclaim() {
 // (rmap reference); mapped pages are exempt from reclaim. It is a
 // no-op for absent pages.
 func (i *Inode) MapPage(idx int64) {
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.page(idx); pg != nil {
 		pg.mapCount++
 	}
 }
 
 // UnmapPage drops one rmap reference.
 func (i *Inode) UnmapPage(idx int64) {
-	if pg, ok := i.pages[idx]; ok && pg.mapCount > 0 {
+	if pg := i.page(idx); pg != nil && pg.mapCount > 0 {
 		pg.mapCount--
 	}
 }
@@ -79,8 +79,8 @@ func (i *Inode) UnmapPage(idx int64) {
 // Unpin releases the fault-path reference FaultPage took on the page.
 // Call once the page has been mapped or its content copied.
 func (i *Inode) Unpin(idx int64) {
-	pg, ok := i.pages[idx]
-	if !ok || pg.pins <= 0 {
+	pg := i.page(idx)
+	if pg == nil || pg.pins <= 0 {
 		panic("pagecache: unpin of a page that is not pinned")
 	}
 	pg.pins--
@@ -88,7 +88,7 @@ func (i *Inode) Unpin(idx int64) {
 
 // MapCount returns the rmap reference count for tests.
 func (i *Inode) MapCount(idx int64) int {
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.page(idx); pg != nil {
 		return pg.mapCount
 	}
 	return 0

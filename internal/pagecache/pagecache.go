@@ -8,6 +8,11 @@
 // to (§3.1 of the paper). Pages inserted here are shared by every
 // process that maps the backing file, which is the deduplication
 // property SnapBPF exploits for concurrent VM sandboxes.
+//
+// Each inode's pages live in a dense table of 64-page chunks, so
+// walks (ForEachPage, DropCaches) run in index order. Device reads
+// complete as engine callbacks chained to the read's waiter (the bio
+// end_io path), not as processes.
 package pagecache
 
 import (
@@ -127,10 +132,23 @@ func (c *Cache) ForEachInode(f func(*Inode)) {
 }
 
 // ForEachPage visits every cached page of the inode with its uptodate
-// status and rmap map count (iteration order is unspecified).
+// status and rmap map count, in index order.
 func (i *Inode) ForEachPage(f func(idx int64, uptodate bool, mapCount int)) {
-	for idx, pg := range i.pages {
-		f(idx, pg.Uptodate(), pg.mapCount)
+	i.eachPage(func(pg *Page) { f(pg.index, pg.Uptodate(), pg.mapCount) })
+}
+
+// eachPage visits the inode's cached pages in index order. f may
+// remove the page it is given.
+func (i *Inode) eachPage(f func(pg *Page)) {
+	for _, ch := range i.pages {
+		if ch == nil {
+			continue
+		}
+		for _, pg := range ch {
+			if pg != nil {
+				f(pg)
+			}
+		}
 	}
 }
 
@@ -184,16 +202,22 @@ func charge(p *sim.Proc, d sim.Duration) {
 // after sandbox teardown).
 func (c *Cache) DropCaches() {
 	for _, ino := range c.inodes {
-		for idx, pg := range ino.pages {
+		ino.eachPage(func(pg *Page) {
 			if pg.Uptodate() {
-				c.dropLRU(pg)
-				delete(ino.pages, idx)
-				c.nrCached--
-				for _, o := range c.obs {
-					o.PageRemoved(ino, idx)
-				}
+				ino.remove(pg)
 			}
-		}
+		})
+	}
+}
+
+// remove drops an uptodate page from the cache (DropCaches,
+// Invalidate) and tells the observers.
+func (i *Inode) remove(pg *Page) {
+	i.c.dropLRU(pg)
+	i.clearPage(pg.index)
+	i.c.nrCached--
+	for _, o := range i.c.obs {
+		o.PageRemoved(i, pg.index)
 	}
 }
 
@@ -203,7 +227,12 @@ type Inode struct {
 	id      uint64
 	name    string
 	nrPages int64
-	pages   map[int64]*Page
+
+	// pages is the inode's page table, dense and chunked: chunk k holds
+	// pages [k*chunkPages, (k+1)*chunkPages) and is allocated on its
+	// first insert, so a lookup is two indexed loads and a sparse
+	// working set costs one chunk per touched run.
+	pages []*pageChunk
 
 	// raPages overrides the cache default when >= 0; the SnapBPF
 	// capture phase disables readahead on the snapshot inode so only
@@ -237,7 +266,7 @@ func (c *Cache) NewInode(name string, nrPages int64) *Inode {
 		id:      c.nextInode,
 		name:    name,
 		nrPages: nrPages,
-		pages:   make(map[int64]*Page),
+		pages:   make([]*pageChunk, (nrPages+chunkPages-1)/chunkPages),
 		raPages: -1,
 	}
 	c.inodes[ino.id] = ino
@@ -264,26 +293,59 @@ func (i *Inode) raWindow() int64 {
 	return i.c.RAPages
 }
 
-// Present reports whether the page is in the cache (even in-flight).
-func (i *Inode) Present(idx int64) bool {
-	_, ok := i.pages[idx]
-	return ok
+// chunkPages is the size of one page-table chunk. With 8-byte entries
+// a chunk is 512 bytes, and the chunk directory costs one pointer per
+// chunkPages pages of file.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+type pageChunk [chunkPages]*Page
+
+// page returns the cached page idx, or nil when it is absent or idx is
+// outside the file.
+func (i *Inode) page(idx int64) *Page {
+	if ci := idx >> chunkShift; idx >= 0 && ci < int64(len(i.pages)) {
+		if ch := i.pages[ci]; ch != nil {
+			return ch[idx&(chunkPages-1)]
+		}
+	}
+	return nil
 }
+
+// setPage stores pg at its index, allocating the chunk on first use.
+func (i *Inode) setPage(pg *Page) {
+	ch := i.pages[pg.index>>chunkShift]
+	if ch == nil {
+		ch = new(pageChunk)
+		i.pages[pg.index>>chunkShift] = ch
+	}
+	ch[pg.index&(chunkPages-1)] = pg
+}
+
+// clearPage empties slot idx; its chunk stays allocated.
+func (i *Inode) clearPage(idx int64) {
+	i.pages[idx>>chunkShift][idx&(chunkPages-1)] = nil
+}
+
+// Present reports whether the page is in the cache (even in-flight).
+func (i *Inode) Present(idx int64) bool { return i.page(idx) != nil }
 
 // Resident reports whether the page is in the cache and uptodate.
 func (i *Inode) Resident(idx int64) bool {
-	pg, ok := i.pages[idx]
-	return ok && pg.Uptodate()
+	pg := i.page(idx)
+	return pg != nil && pg.Uptodate()
 }
 
 // ResidentPages returns the number of uptodate pages of this inode.
 func (i *Inode) ResidentPages() int64 {
 	var n int64
-	for _, pg := range i.pages {
+	i.eachPage(func(pg *Page) {
 		if pg.Uptodate() {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -294,7 +356,7 @@ func (i *Inode) ResidentPages() int64 {
 // charge the same task.
 func (i *Inode) insert(p *sim.Proc, idx int64, done *sim.Waiter, readahead bool) *Page {
 	pg := &Page{inode: i, index: idx, ioDone: done}
-	i.pages[idx] = pg
+	i.setPage(pg)
 	i.c.nrCached++
 	i.c.stats.Inserted++
 	// Observe before the kprobe dispatch below: an attached program can
@@ -339,55 +401,76 @@ func (i *Inode) submitRuns(p *sim.Proc, indices []int64, readahead bool) {
 				i.insert(p, start+k, done, readahead)
 			}
 		}
-		off := int64(units.PageIdx(start).ByteOff())
-		length := int64(units.PagesToBytes(runLen))
-		submit := i.c.dev.SubmitReadIO
-		if readahead {
-			submit = i.c.dev.SubmitReadaheadIO
+		r := &readRelay{
+			ino:       i,
+			off:       int64(units.PageIdx(start).ByteOff()),
+			length:    int64(units.PagesToBytes(runLen)),
+			readahead: readahead,
+			done:      done,
 		}
-		// Relay device completion to the shared page waiter, retrying
-		// failed reads with backoff — the kernel's path re-issues a
-		// failed bio before declaring the folio in error, and injected
-		// errors are transient (never at attempt >= MaxErrorAttempts),
-		// so the pages always come uptodate eventually. Reclaim runs
-		// again once pages become uptodate: in-flight pages are not
-		// evictable, so an insertion burst can overshoot the limit
-		// until its reads land (as direct reclaim does while waiting
-		// out in-flight folios).
 		if st := i.stager; st != nil {
 			// Staged inode: the chunk must cross the remote link
-			// before the device read can be submitted, so submission
-			// moves inside the relay proc, after Stage returns.
+			// before the device read can be submitted, and Stage
+			// blocks, so submission waits in a process of its own.
 			i.c.eng.Go("io-complete", func(proc *sim.Proc) {
-				st.Stage(proc, off, length)
-				io := submit(off, length, 0)
-				proc.Wait(io.Done())
-				for attempt := 1; io.Err() != nil && attempt < faults.MaxRetryAttempts; attempt++ {
-					i.c.dev.Faults().CountRetry()
-					proc.Sleep(faults.Backoff(attempt - 1))
-					io = submit(off, length, attempt)
-					proc.Wait(io.Done())
-				}
-				done.Fire()
-				i.c.reclaim()
+				st.Stage(proc, r.off, r.length)
+				r.submit()
 			})
-			n = end
-			continue
+		} else {
+			r.io = r.read()
+			i.c.eng.Schedule(0, r.await)
 		}
-		io := submit(off, length, 0)
-		i.c.eng.Go("io-complete", func(proc *sim.Proc) {
-			proc.Wait(io.Done())
-			for attempt := 1; io.Err() != nil && attempt < faults.MaxRetryAttempts; attempt++ {
-				i.c.dev.Faults().CountRetry()
-				proc.Sleep(faults.Backoff(attempt - 1))
-				io = submit(off, length, attempt)
-				proc.Wait(io.Done())
-			}
-			done.Fire()
-			i.c.reclaim()
-		})
 		n = end
 	}
+}
+
+// readRelay relays one run's device read to the waiter its pages share,
+// as the bio end_io callback does in the kernel: no task waits for the
+// read. A failed read is re-issued with backoff before the pages come
+// uptodate, as the kernel re-issues a failed bio before declaring the
+// folio in error; injected errors are transient (never at attempt >=
+// MaxErrorAttempts), so the pages always come uptodate eventually.
+type readRelay struct {
+	ino         *Inode
+	off, length int64
+	readahead   bool // REQ_RAHEAD-class reads yield to demand faults
+	attempt     int
+	io          *blockdev.IO
+	done        *sim.Waiter
+}
+
+// read submits the current attempt.
+func (r *readRelay) read() *blockdev.IO {
+	dev := r.ino.c.dev
+	if r.readahead {
+		return dev.SubmitReadaheadIO(r.off, r.length, r.attempt)
+	}
+	return dev.SubmitReadIO(r.off, r.length, r.attempt)
+}
+
+// submit issues the current attempt and waits for it.
+func (r *readRelay) submit() {
+	r.io = r.read()
+	r.await()
+}
+
+// await chains landed to the read in flight.
+func (r *readRelay) await() { r.io.Done().OnFire(r.landed) }
+
+// landed retries a failed read after its backoff, or marks the run's
+// pages uptodate. Reclaim runs again then: in-flight pages are not
+// evictable, so an insertion burst can overshoot the limit until its
+// reads land (as direct reclaim does while waiting out in-flight
+// folios).
+func (r *readRelay) landed() {
+	if r.io.Err() != nil && r.attempt+1 < faults.MaxRetryAttempts {
+		r.attempt++
+		r.ino.c.dev.Faults().CountRetry()
+		r.ino.c.eng.Schedule(faults.Backoff(r.attempt-1), r.submit)
+		return
+	}
+	r.done.Fire()
+	r.ino.c.reclaim()
 }
 
 // FaultPage is the demand-fault read path: it returns once page idx is
@@ -413,7 +496,7 @@ func (i *Inode) FaultPage(p *sim.Proc, idx int64) {
 // kprobe program inside the insert path yields), and the fault must
 // retry — filemap_fault's VM_FAULT_RETRY.
 func (i *Inode) faultPageOnce(p *sim.Proc, idx int64) bool {
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.page(idx); pg != nil {
 		pg.pins++
 		if pg.Uptodate() {
 			i.c.stats.Hits++
@@ -429,7 +512,7 @@ func (i *Inode) faultPageOnce(p *sim.Proc, idx int64) bool {
 
 	// The sleep above is a scheduling point: another task may have
 	// started the read meanwhile. Re-check before submitting.
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.page(idx); pg != nil {
 		pg.pins++
 		if pg.Uptodate() {
 			i.c.stats.Hits++
@@ -459,8 +542,8 @@ func (i *Inode) faultPageOnce(p *sim.Proc, idx int64) bool {
 	}
 	i.submitRuns(p, toRead, false)
 
-	pg, ok := i.pages[idx]
-	if !ok {
+	pg := i.page(idx)
+	if pg == nil {
 		return false
 	}
 	pg.pins++
@@ -566,13 +649,8 @@ func (i *Inode) Mincore(start, n int64) []bool {
 // and the drop-caches path.
 func (i *Inode) Invalidate(start, n int64) {
 	for j := start; j < start+n; j++ {
-		if pg, ok := i.pages[j]; ok && pg.Uptodate() {
-			i.c.dropLRU(pg)
-			delete(i.pages, j)
-			i.c.nrCached--
-			for _, o := range i.c.obs {
-				o.PageRemoved(i, j)
-			}
+		if pg := i.page(j); pg != nil && pg.Uptodate() {
+			i.remove(pg)
 		}
 	}
 }

@@ -6,9 +6,12 @@
 // snapshot, a function faulting on guest memory, an SSD completing a
 // read — are modelled either as plain scheduled callbacks or as
 // Processes: goroutines that run one at a time and can block on virtual
-// time (Sleep) or on conditions (Waiter, Semaphore). Exactly one
-// goroutine holds control at any instant, so simulations are fully
-// deterministic: events at equal timestamps fire in scheduling order.
+// time (Sleep) or on conditions (Waiter, Semaphore). A callback that
+// only waits for one Waiter needs no process: Waiter.OnFire runs it
+// when the waiter fires, at the same point a waiting process would
+// resume. Exactly one goroutine holds control at any instant, so
+// simulations are fully deterministic: events at equal timestamps fire
+// in scheduling order.
 //
 // Control passes from goroutine to goroutine without a central
 // scheduler goroutine. Whichever goroutine holds control — the caller
@@ -398,12 +401,20 @@ func (p *Proc) Sleep(d Duration) {
 
 // Waiter is a single-use completion signal that processes can block on
 // and callbacks can fire. Fire may be called before or after Wait;
-// multiple processes may wait on the same Waiter.
+// multiple processes may wait on the same Waiter, and OnFire chains
+// callbacks to it without a process.
 type Waiter struct {
 	eng     *Engine
 	fired   bool
-	waiters []*Proc
-	at      Time // time of Fire, valid once fired
+	waiters []waitEntry // in registration order
+	at      Time        // time of Fire, valid once fired
+}
+
+// waitEntry is one registration on a Waiter: a callback, or a resume
+// of p when fn is nil — the two shapes schedule takes.
+type waitEntry struct {
+	fn func()
+	p  *Proc
 }
 
 // NewWaiter returns an unfired Waiter.
@@ -426,9 +437,20 @@ func (w *Waiter) Fire() {
 	w.at = w.eng.now
 	ws := w.waiters
 	w.waiters = nil
-	for _, p := range ws {
-		w.eng.schedule(w.eng.now, nil, p)
+	for _, we := range ws {
+		w.eng.schedule(w.eng.now, we.fn, we.p)
 	}
+}
+
+// OnFire registers fn to run as an event at the instant the waiter
+// fires, in registration order with the processes waiting on it. If it
+// already fired, fn runs at once, as Wait returns at once.
+func (w *Waiter) OnFire(fn func()) {
+	if w.fired {
+		fn()
+		return
+	}
+	w.waiters = append(w.waiters, waitEntry{fn: fn})
 }
 
 // Wait blocks the process until the waiter fires. If it already fired,
@@ -437,7 +459,7 @@ func (p *Proc) Wait(w *Waiter) {
 	if w.fired {
 		return
 	}
-	w.waiters = append(w.waiters, p)
+	w.waiters = append(w.waiters, waitEntry{p: p})
 	p.block()
 }
 

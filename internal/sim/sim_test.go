@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -159,6 +160,49 @@ func TestWaiterMultipleWaiters(t *testing.T) {
 	e.Run()
 	if woke != 5 {
 		t.Fatalf("woke = %d, want 5", woke)
+	}
+}
+
+// TestWaiterCallbacksInOrder: processes and OnFire callbacks on one
+// Waiter resume in registration order at the instant it fires. OnFire
+// on a fired waiter runs inline, before it returns, and a callback
+// registered from a callback runs when its own waiter fires.
+func TestWaiterCallbacksInOrder(t *testing.T) {
+	e := NewEngine()
+	w, w2 := e.NewWaiter(), e.NewWaiter()
+	var got []string
+	note := func(s string) { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) }
+	// Registration order at t=0 is the dispatch order of these events.
+	e.Go("p1", func(p *Proc) {
+		p.Wait(w)
+		note("p1")
+	})
+	e.Schedule(0, func() {
+		w.OnFire(func() {
+			note("c1")
+			w2.OnFire(func() { note("c1>w2") })
+		})
+	})
+	e.Go("p2", func(p *Proc) {
+		p.Wait(w)
+		note("p2")
+	})
+	e.Schedule(0, func() {
+		w.OnFire(func() {
+			w.OnFire(func() { note("c2>w") }) // fired: inline
+			note("c2")
+		})
+	})
+	e.Schedule(10, w.Fire)
+	e.Schedule(15, w2.Fire)
+	e.Schedule(20, func() {
+		w.OnFire(func() { note("late") })
+		note("after late")
+	})
+	e.Run()
+	want := []string{"p1@10", "c1@10", "p2@10", "c2>w@10", "c2@10", "c1>w2@15", "late@20", "after late@20"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
