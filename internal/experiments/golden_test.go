@@ -207,3 +207,92 @@ func TestGoldenAblationDrift(t *testing.T) {
 		t.Errorf("ablation-drift CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, goldenAblationDriftCSV)
 	}
 }
+
+// experimentByID returns the runner All registers under id.
+func experimentByID(t *testing.T, id string) func(Options) (*Table, error) {
+	t.Helper()
+	for _, e := range All() {
+		if e.ID == id {
+			return e.Run
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
+}
+
+// goldenJSONPins pins every ablation and extension that has no pin
+// above, on json alone, serially and on a worker pool.
+var goldenJSONPins = []struct{ id, csv string }{
+	{"ablation-grouping", `Function,grouped E2E (s),per-page E2E (s),grouped reqs,per-page reqs,load grouped (ms),load per-page (ms)
+json,0.116,0.112,161,6656,0.146,5.993
+`},
+	{"ablation-sort", `Function,access-order E2E (s),offset-order E2E (s),delta
+json,0.116,0.142,1.23x
+`},
+	{"ablation-cow", `Function,patched,unpatched,inflation
+json,0.14,0.35,2.6x
+`},
+	{"ablation-coalesce", `Function/gap,regions,WS file (MiB),inflation,E2E (s)
+json/gap=0,160,26.0,1.00x,0.125
+json/gap=8,40,26.5,1.02x,0.125
+json/gap=32,40,26.5,1.02x,0.125
+json/gap=128,39,26.8,1.03x,0.125
+json/gap=512,28,43.0,1.66x,0.140
+`},
+	{"ablation-directio", `Function,direct E2E (s),buffered E2E (s),buffered/direct
+json,0.114,0.142,1.25x
+`},
+	{"ablation-hdd", `Function,SnapBPF SSD,SnapBPF HDD,REAP SSD,REAP HDD
+json,0.116,1.135,0.114,0.252
+`},
+	{"ext-varying-inputs", `Function/variance,SnapBPF mem,REAP mem,REAP/SnapBPF,SnapBPF E2E (s)
+json/v=0.00,0.14,0.33,2.4x,0.116
+json/v=0.25,0.15,0.33,2.2x,0.116
+json/v=0.50,0.15,0.33,2.1x,0.116
+json/v=1.00,0.17,0.33,2.0x,0.115
+`},
+	{"ext-concurrency", `Function/N,REAP,SnapBPF,REAP/SnapBPF,SnapBPF mem (GiB)
+json/N=1,0.114,0.116,0.99x,0.04
+json/N=2,0.145,0.116,1.26x,0.05
+json/N=5,0.330,0.116,2.86x,0.08
+json/N=10,0.639,0.116,5.53x,0.14
+json/N=20,1.256,0.116,10.87x,0.25
+json/N=40,2.491,0.116,21.56x,0.47
+`},
+	{"ext-cost-analysis", `Function,capture runs,prefetch runs,eBPF CPU (ms),map memory (KiB),load (ms),load/E2E
+json,6656,10,1.000,129,0.146,0.13%
+`},
+	{"ext-devices", `Function/device,Linux-RA,REAP,SnapBPF,REAP/SnapBPF
+json/spindle-7200,0.681,5.480,1.135,4.83x
+json/micron-5300-sata,0.204,0.639,0.116,5.53x
+json/nvme-gen4,0.119,0.098,0.107,0.91x
+`},
+	{"ext-snapshot-creation", `Function,create (s),image (MiB),state (MiB),stale pool (MiB),zero pages
+json,0.097,256,120,34,26112
+`},
+	{"ext-cache-pressure", `Function/limit,Linux-RA,SnapBPF,REAP,SnapBPF evictions,SnapBPF refetch (MiB)
+json/inf,0.204,0.116,0.639,0,0.1
+json/2.0x,0.204,0.116,0.639,0,0.1
+json/1.0x,0.204,0.116,0.639,0,0.1
+json/0.5x,1.194,1.126,0.639,93463,361.3
+`},
+	{"ext-steady-state", `Function,scheme,wave 1,wave 2,wave 3,device (MiB),peak mem (GiB)
+json,REAP,0.330,0.330,0.330,502.5,0.16
+json,SnapBPF,0.116,0.103,0.103,26.1,0.08
+`},
+	{"ext-colocation", `Scheme,host memory (GiB),device (MiB),mean E2E across functions (s)
+REAP,0.07,67.0,0.145
+SnapBPF,0.05,26.1,0.116
+`},
+}
+
+func TestGoldenJSONPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte-pinning is value-level; the non-race suite covers it")
+	}
+	for _, p := range goldenJSONPins {
+		t.Run(p.id, func(t *testing.T) {
+			goldenPin(t, p.id, experimentByID(t, p.id), p.csv)
+		})
+	}
+}
