@@ -21,7 +21,7 @@
 //	snapbpf-bench -store cold -fetch-policy wslazy
 //	                                   # restore from a cold remote chunk store
 //	snapbpf-bench -list                # list experiment ids
-//	snapbpf-bench -v                   # per-cell progress on stderr
+//	snapbpf-bench -v                   # per-row progress on stderr
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to write per-experiment CSV files")
 		report     = flag.String("report", "", "write a combined markdown report to this file")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		verbose    = flag.Bool("v", false, "per-cell progress on stderr")
+		verbose    = flag.Bool("v", false, "per-row progress on stderr")
 		parallel   = flag.Int("parallel", 0, "measurement-cell workers: 0 = one per CPU, 1 = serial")
 		faultsLvl  = flag.String("faults", "none", "fault injection level for every experiment: none, light, heavy")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault-injection streams (same seed = byte-identical run)")

@@ -32,21 +32,26 @@ func runFigures(t *testing.T, fns []workload.Function) map[string]*experiments.T
 	t.Helper()
 	o := experiments.Options{Functions: fns, Parallel: 1}
 	tables := map[string]*experiments.Table{}
-	for _, e := range []struct {
-		id  string
-		run func(experiments.Options) (*experiments.Table, error)
-	}{
-		{"table1", experiments.Table1},
-		{"fig3a", experiments.Fig3a},
-		{"fig4", experiments.Fig4},
-	} {
-		tbl, err := e.run(o)
+	for _, id := range []string{"table1", "fig3a", "fig4"} {
+		tbl, err := experiment(t, id)(o)
 		if err != nil {
-			t.Fatalf("%s: %v", e.id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		tables[e.id] = tbl
+		tables[id] = tbl
 	}
 	return tables
+}
+
+// experiment returns the runner experiments.All registers under id.
+func experiment(t *testing.T, id string) func(experiments.Options) (*experiments.Table, error) {
+	t.Helper()
+	for _, e := range experiments.All() {
+		if e.ID == id {
+			return e.Run
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
 }
 
 func TestFitnessLive(t *testing.T) {
@@ -86,7 +91,7 @@ func TestSabotageAlarm(t *testing.T) {
 	})
 	defer costmodel.SetPerturb(nil)
 
-	tbl, err := experiments.Fig3a(experiments.Options{Functions: liveFunctions(t), Parallel: 1})
+	tbl, err := experiment(t, "fig3a")(experiments.Options{Functions: liveFunctions(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

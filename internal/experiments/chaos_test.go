@@ -22,11 +22,12 @@ func chaosTestFunctions(t *testing.T) []workload.Function {
 // runs with the same plan seed must produce byte-identical CSV.
 func TestChaosDeterministic(t *testing.T) {
 	o := Options{Functions: chaosTestFunctions(t), Parallel: 1}
-	t1, err := Chaos(o)
+	chaos := experimentByID(t, "chaos")
+	t1, err := chaos(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := Chaos(o)
+	t2, err := chaos(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,19 +175,13 @@ func TestExtensionExperimentsOnTinySuite(t *testing.T) {
 		t.Skip("extension sweeps are slow")
 	}
 	opts := Options{Functions: []workload.Function{tinyFn()}}
-	for _, exp := range []struct {
-		name string
-		run  func(Options) (*Table, error)
-	}{
-		{"cost", ExtCostAnalysis},
-		{"colocation", ExtColocation},
-	} {
-		tbl, err := exp.run(opts)
+	for _, id := range []string{"ext-cost-analysis", "ext-colocation"} {
+		tbl, err := experimentByID(t, id)(opts)
 		if err != nil {
-			t.Fatalf("%s: %v", exp.name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		if len(tbl.Rows) == 0 {
-			t.Fatalf("%s: empty table", exp.name)
+			t.Fatalf("%s: empty table", id)
 		}
 	}
 }
@@ -234,20 +228,13 @@ func TestFigureExperimentsOnTinySuite(t *testing.T) {
 		t.Skip("figure runs are slow")
 	}
 	opts := Options{Functions: []workload.Function{tinyFn()}}
-	for _, exp := range []struct {
-		name string
-		run  func(Options) (*Table, error)
-	}{
-		{"fig3a", Fig3a},
-		{"fig4", Fig4},
-		{"overheads", Overheads},
-	} {
-		tbl, err := exp.run(opts)
+	for _, id := range []string{"fig3a", "fig4", "overheads"} {
+		tbl, err := experimentByID(t, id)(opts)
 		if err != nil {
-			t.Fatalf("%s: %v", exp.name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		if len(tbl.Rows) != 1 {
-			t.Fatalf("%s: rows = %d", exp.name, len(tbl.Rows))
+			t.Fatalf("%s: rows = %d", id, len(tbl.Rows))
 		}
 	}
 }

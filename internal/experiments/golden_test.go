@@ -59,7 +59,7 @@ func TestGoldenTable1(t *testing.T) {
 }
 
 func TestGoldenFig3a(t *testing.T) {
-	tbl, err := Fig3a(Options{Functions: goldenFunctions(t), Parallel: 1})
+	tbl, err := experimentByID(t, "fig3a")(Options{Functions: goldenFunctions(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestGoldenFig4(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	tbl, err := Fig4(Options{Functions: goldenFunctions(t), Parallel: 1})
+	tbl, err := experimentByID(t, "fig4")(Options{Functions: goldenFunctions(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,28 +136,28 @@ func TestGoldenFig3b(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	goldenPin(t, "fig3b", Fig3b, goldenFig3bCSV)
+	goldenPin(t, "fig3b", experimentByID(t, "fig3b"), goldenFig3bCSV)
 }
 
 func TestGoldenFig3c(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	goldenPin(t, "fig3c", Fig3c, goldenFig3cCSV)
+	goldenPin(t, "fig3c", experimentByID(t, "fig3c"), goldenFig3cCSV)
 }
 
 func TestGoldenAblationRAWindow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	goldenPin(t, "ablation-rawindow", AblationRAWindow, goldenAblationRAWindowCSV)
+	goldenPin(t, "ablation-rawindow", experimentByID(t, "ablation-rawindow"), goldenAblationRAWindowCSV)
 }
 
 func TestGoldenOverheads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	tbl, err := Overheads(Options{Functions: goldenFunctions(t), Parallel: 1})
+	tbl, err := experimentByID(t, "overheads")(Options{Functions: goldenFunctions(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGoldenChaos(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	tbl, err := Chaos(Options{Functions: goldenJSONOnly(t), Parallel: 1})
+	tbl, err := experimentByID(t, "chaos")(Options{Functions: goldenJSONOnly(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestGoldenAblationDrift(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-pinning is value-level; the non-race suite covers it")
 	}
-	tbl, err := AblationDrift(Options{Functions: goldenFunctions(t), Parallel: 1})
+	tbl, err := experimentByID(t, "ablation-drift")(Options{Functions: goldenFunctions(t), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,11 +193,12 @@ func TestObsExperimentInvariance(t *testing.T) {
 	withObs.Obs = &obs.Config{Trace: true, Metrics: true}
 	withObs.ObsSink = func(name string, rep *obs.Report) {}
 
-	t1, err := Fig3a(base)
+	fig3a := experimentByID(t, "fig3a")
+	t1, err := fig3a(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := Fig3a(withObs)
+	t2, err := fig3a(withObs)
 	if err != nil {
 		t.Fatal(err)
 	}

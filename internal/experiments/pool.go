@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"snapbpf/internal/prefetch"
 	"snapbpf/internal/workload"
 )
 
@@ -19,6 +20,10 @@ type Cell struct {
 	Fn     workload.Function
 	Scheme Scheme
 	Cfg    Config
+	// Probe, when set, reads what a table needs from the cell's
+	// prefetcher once the run has ended (its working set, its
+	// counters); the columns it returns land in RunResult.Probe.
+	Probe func(prefetch.Prefetcher) []string
 }
 
 // workers resolves the pool width: Options.Parallel if positive,
@@ -117,7 +122,8 @@ func (o Options) config(cfg Config) Config {
 func RunCells(o Options, cells []Cell) ([]*RunResult, error) {
 	out := make([]*RunResult, len(cells))
 	err := o.runJobs(len(cells), func(i int) error {
-		r, err := Run(cells[i].Fn, cells[i].Scheme, o.config(cells[i].Cfg))
+		c := cells[i]
+		r, err := run(c.Fn, c.Scheme, o.config(c.Cfg), c.Probe)
 		if err != nil {
 			return err
 		}

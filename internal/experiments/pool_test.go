@@ -149,7 +149,7 @@ func TestFig3bSerialParallelIdentical(t *testing.T) {
 			Parallel:  par,
 			Progress:  func(msg string) { lines = append(lines, msg) },
 		}
-		tbl, err := Fig3b(o)
+		tbl, err := experimentByID(t, "fig3b")(o)
 		if err != nil {
 			t.Fatal(err)
 		}

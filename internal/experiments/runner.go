@@ -106,6 +106,11 @@ type RunResult struct {
 	// non-local tier.
 	Store       *store.CacheStats
 	StoreRemote *store.RemoteStats
+
+	// Probe holds the columns Cell.Probe read from the run's
+	// prefetcher, nil without a probe. They are plain text, so no
+	// result keeps the prefetcher, or the host it ran on, alive.
+	Probe []string
 }
 
 // Config tunes a run.
@@ -297,6 +302,12 @@ func meanE2E(sbs []testbed.Sandbox) time.Duration {
 // Run executes one cell: record once, then N concurrent invocations
 // of fn under the scheme.
 func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
+	return run(fn, scheme, cfg, nil)
+}
+
+// run is Run with a Cell.Probe, called on the prefetcher after the
+// measurement.
+func run(fn workload.Function, scheme Scheme, cfg Config, probe func(prefetch.Prefetcher) []string) (*RunResult, error) {
 	s, err := cfg.measure(scheme.Name+"/"+fn.Name, scheme, []workload.Function{fn}, 1, 0)
 	if err != nil {
 		return nil, err
@@ -340,6 +351,9 @@ func Run(fn workload.Function, scheme Scheme, cfg Config) (*RunResult, error) {
 		if ws := sb.WorkingSet(); ws != nil {
 			res.WSGroups = len(ws.Groups)
 		}
+	}
+	if probe != nil {
+		res.Probe = probe(pf)
 	}
 	return res, nil
 }
