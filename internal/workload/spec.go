@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -71,9 +70,6 @@ func (t TenantSpec) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("workload: tenant with empty name")
 	}
-	if strings.ContainsAny(t.Name, " \t\n=,:") {
-		return fmt.Errorf("workload: tenant name %q contains separator characters", t.Name)
-	}
 	if !(t.RatePerSec > 0) || math.IsInf(t.RatePerSec, 0) {
 		return fmt.Errorf("workload: tenant %s: rate must be positive and finite, got %v", t.Name, t.RatePerSec)
 	}
@@ -98,9 +94,6 @@ func (t TenantSpec) Validate() error {
 		if fs.Name == "" {
 			return fmt.Errorf("workload: tenant %s: empty function name", t.Name)
 		}
-		if strings.ContainsAny(fs.Name, " \t\n=,:") {
-			return fmt.Errorf("workload: tenant %s: function name %q contains separator characters", t.Name, fs.Name)
-		}
 		if seen[fs.Name] {
 			return fmt.Errorf("workload: tenant %s: duplicate function %s", t.Name, fs.Name)
 		}
@@ -112,9 +105,6 @@ func (t TenantSpec) Validate() error {
 	}
 	if t.Zipf == 0 && !(total > 0) {
 		return fmt.Errorf("workload: tenant %s: function weights sum to zero", t.Name)
-	}
-	if strings.ContainsAny(string(t.Class), " \t\n=,:") {
-		return fmt.Errorf("workload: tenant %s: class %q contains separator characters", t.Name, t.Class)
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ func TestTenantSpecValidate(t *testing.T) {
 		want string
 	}{
 		{"empty name", with(func(s *TenantSpec) { s.Name = "" }), "empty name"},
-		{"separator in name", with(func(s *TenantSpec) { s.Name = "a=b" }), "separator characters"},
 		{"zero rate", with(func(s *TenantSpec) { s.RatePerSec = 0 }), "rate must be positive"},
 		{"negative rate", with(func(s *TenantSpec) { s.RatePerSec = -2 }), "rate must be positive"},
 		{"NaN rate", with(func(s *TenantSpec) { s.RatePerSec = math.NaN() }), "rate must be positive"},
@@ -36,12 +35,10 @@ func TestTenantSpecValidate(t *testing.T) {
 		{"negative zipf", with(func(s *TenantSpec) { s.Zipf = -1 }), "zipf exponent"},
 		{"NaN zipf", with(func(s *TenantSpec) { s.Zipf = math.NaN() }), "zipf exponent"},
 		{"empty function", with(func(s *TenantSpec) { s.Funcs[0].Name = "" }), "empty function name"},
-		{"separator in function", with(func(s *TenantSpec) { s.Funcs[0].Name = "a:b" }), "separator characters"},
 		{"duplicate function", with(func(s *TenantSpec) { s.Funcs = append(s.Funcs, s.Funcs[0]) }), "duplicate function"},
 		{"negative weight", with(func(s *TenantSpec) { s.Funcs[0].Weight = -1 }), "bad weight"},
 		{"NaN weight", with(func(s *TenantSpec) { s.Funcs[0].Weight = math.NaN() }), "bad weight"},
 		{"zero weights", with(func(s *TenantSpec) { s.Funcs[0].Weight = 0 }), "weights sum to zero"},
-		{"separator in class", with(func(s *TenantSpec) { s.Class = "a b" }), "separator characters"},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); err == nil {
