@@ -62,17 +62,17 @@ type row struct {
 // declares its rows.
 func (s sweep) run(o Options) (*Table, error) {
 	var rows []row
-	var cells []Cell
+	var batch []Cell
 	for _, fn := range o.functions() {
 		for _, r := range s.rows(fn) {
 			for _, c := range r.cells {
 				c.Fn = fn
-				cells = append(cells, c)
+				batch = append(batch, c)
 			}
 			rows = append(rows, r)
 		}
 	}
-	rs, err := RunCells(o, cells)
+	rs, err := RunCells(o, batch)
 	if err != nil {
 		return nil, err
 	}
