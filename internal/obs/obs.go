@@ -56,12 +56,6 @@ const DefaultMaxTraceEvents = 1 << 20
 // config is disabled.
 func (c *Config) Enabled() bool { return c != nil && (c.Trace || c.Metrics) }
 
-// pageKey identifies one page-cache page for dedup accounting.
-type pageKey struct {
-	ino *pagecache.Inode
-	idx int64
-}
-
 // frame is one open span on a process's stack: a vm lifecycle phase
 // or an in-flight guest access. kind is the hostmm fault kind + 1 of
 // the access's resolution (0 = none observed).
@@ -95,7 +89,6 @@ type Recorder struct {
 	frames    map[*sim.Proc]*frameStack
 	vmEnd     map[*vmm.MicroVM]sim.Time // restore-end time per sandbox; nil unless tracing
 	ioOpen    map[int64]sim.Time        // submit time per in-flight IO id
-	fileRefs  map[pageKey]int32         // rmap refs for dedup counting
 
 	// Faults arrive in bursts from one process; memoizing the last
 	// proc's tid and frame stack removes two map lookups per guest
@@ -120,7 +113,6 @@ func Attach(h *vmm.Host, cfg Config) *Recorder {
 		tids:      make(map[*sim.Proc]int64),
 		frames:    make(map[*sim.Proc]*frameStack),
 		ioOpen:    make(map[int64]sim.Time),
-		fileRefs:  make(map[pageKey]int32),
 	}
 	if cfg.Trace {
 		r.events = &eventBuf{}
@@ -385,22 +377,18 @@ func (r *Recorder) SpaceReleased(as *hostmm.AddressSpace) {
 // FilePageMapped implements hostmm.Observer.
 func (r *Recorder) FilePageMapped(as *hostmm.AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
 	r.m.c[cFileMaps]++
-	k := pageKey{ino, fileIdx}
-	if r.fileRefs[k] > 0 {
-		// A second sandbox mapping an already-mapped cache page is
-		// the in-memory working-set dedup the paper measures.
+	// A second sandbox mapping an already-mapped cache page is the
+	// in-memory working-set dedup the paper measures. hostmm fires
+	// this hook after taking the rmap reference, so the page's count
+	// includes this mapping.
+	if ino.MapCount(fileIdx) > 1 {
 		r.m.c[cFileMapsShared]++
 	}
-	r.fileRefs[k]++
 }
 
 // FilePageUnmapped implements hostmm.Observer.
 func (r *Recorder) FilePageUnmapped(as *hostmm.AddressSpace, page int64, ino *pagecache.Inode, fileIdx int64) {
 	r.m.c[cFileUnmaps]++
-	k := pageKey{ino, fileIdx}
-	if r.fileRefs[k] > 0 {
-		r.fileRefs[k]--
-	}
 }
 
 // AnonInstalled implements hostmm.Observer.

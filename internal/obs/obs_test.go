@@ -236,7 +236,6 @@ func testRecorder(cfg Config) (*Recorder, *sim.Proc) {
 		frames:    make(map[*sim.Proc]*frameStack),
 		vmEnd:     make(map[*vmm.MicroVM]sim.Time),
 		ioOpen:    make(map[int64]sim.Time),
-		fileRefs:  make(map[pageKey]int32),
 	}
 	if cfg.Trace {
 		r.events = &eventBuf{}

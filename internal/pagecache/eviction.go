@@ -86,7 +86,8 @@ func (i *Inode) Unpin(idx int64) {
 	pg.pins--
 }
 
-// MapCount returns the rmap reference count for tests.
+// MapCount returns the rmap reference count of page idx, 0 when the
+// page is absent.
 func (i *Inode) MapCount(idx int64) int {
 	if pg := i.page(idx); pg != nil {
 		return pg.mapCount
