@@ -14,7 +14,7 @@ vet:
 
 # Project-specific analyzers (internal/analysis) run through go vet's
 # unitchecker protocol: detnondet, clusterepoch, maporder, simtime,
-# observerorder, unitsafety, allowcheck. Zero unsuppressed diagnostics is the bar;
+# unitsafety, allowcheck. Zero unsuppressed diagnostics is the bar;
 # see DESIGN.md §9 for the contracts and the //lint:allow syntax.
 lint:
 	@mkdir -p bin

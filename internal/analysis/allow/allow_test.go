@@ -16,7 +16,7 @@ func TestParse(t *testing.T) {
 		{"//lint:allow unitsafety reason here // want `x`", true, "unitsafety", "reason here"},
 		{"//lint:allowance is not a directive", false, "", ""},
 		{"// ordinary comment", false, "", ""},
-		{"//lint:allow\tobserverorder tab-separated fields", true, "observerorder", "tab-separated fields"},
+		{"//lint:allow\tmaporder tab-separated fields", true, "maporder", "tab-separated fields"},
 	}
 	for _, c := range cases {
 		d, ok := Parse(c.text)

@@ -11,7 +11,6 @@ import (
 	"snapbpf/internal/analysis/passes/clusterepoch"
 	"snapbpf/internal/analysis/passes/detnondet"
 	"snapbpf/internal/analysis/passes/maporder"
-	"snapbpf/internal/analysis/passes/observerorder"
 	"snapbpf/internal/analysis/passes/simtime"
 	"snapbpf/internal/analysis/passes/unitsafety"
 )
@@ -23,7 +22,6 @@ func All() []*analysis.Analyzer {
 		clusterepoch.Analyzer,
 		maporder.Analyzer,
 		simtime.Analyzer,
-		observerorder.Analyzer,
 		unitsafety.Analyzer,
 		allowcheck.Analyzer,
 	}

@@ -15,12 +15,11 @@ import (
 
 // Known is the set of analyzer names a directive may target.
 var Known = map[string]bool{
-	"detnondet":     true,
-	"clusterepoch":  true,
-	"maporder":      true,
-	"simtime":       true,
-	"observerorder": true,
-	"unitsafety":    true,
+	"detnondet":    true,
+	"clusterepoch": true,
+	"maporder":     true,
+	"simtime":      true,
+	"unitsafety":   true,
 }
 
 // Analyzer is the allowcheck pass.

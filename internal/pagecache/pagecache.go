@@ -361,7 +361,8 @@ func (i *Inode) insert(p *sim.Proc, idx int64, done *sim.Waiter, readahead bool)
 	i.c.stats.Inserted++
 	// Observe before the kprobe dispatch below: an attached program can
 	// recursively insert further pages, and observers must see cache
-	// events in causal order.
+	// events in causal order (check's TestKprobeBeforeObserverCaught
+	// fails when the kprobe runs first).
 	for _, o := range i.c.obs {
 		o.PageInserted(i, idx, readahead)
 	}

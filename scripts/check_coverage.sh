@@ -35,7 +35,6 @@ declare -A floors=(
   [snapbpf/internal/analysis/passes/detnondet]=89.0
   [snapbpf/internal/analysis/passes/maporder]=95.0
   [snapbpf/internal/analysis/passes/simtime]=93.0
-  [snapbpf/internal/analysis/passes/observerorder]=92.0
   [snapbpf/internal/analysis/passes/unitsafety]=95.0
   [snapbpf/internal/analysis/passes/allowcheck]=98.0
   [snapbpf/internal/analysis/passes/clusterepoch]=87.0
