@@ -1,6 +1,6 @@
 // snapbpf-ebpf-check runs the abstract interpreter over the built-in
 // SnapBPF eBPF programs (capture and prefetch) and prints the static
-// analysis report: verdict, worst-case instruction count, dead code,
+// analysis report: verdict, instruction count, dead code,
 // infeasible branches, and any unproven memory accesses with the
 // abstract register state at the failure point.
 //

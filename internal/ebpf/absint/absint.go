@@ -63,10 +63,6 @@ type Result struct {
 	// appear.
 	Branches map[int]Branch
 	Findings []Finding
-
-	// a keeps the fixpoint states for WorstCase; nil when the
-	// analysis stopped before the fixpoint.
-	a *analysis
 }
 
 // state is the abstract machine state at one program point.
@@ -158,7 +154,6 @@ func Analyze(insns []Insn, opts Opts) *Result {
 		joins: make([]int, len(insns)),
 	}
 	a.fixpoint()
-	res.a = a
 
 	// Reachability: every pc with a fixpoint state, plus lddw upper
 	// slots riding along with their first slot.

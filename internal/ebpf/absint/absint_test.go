@@ -53,9 +53,6 @@ func wantReject(t *testing.T, frag string, insns []Insn) *Result {
 
 func TestAnalyzeTrivial(t *testing.T) {
 	r := wantOK(t, []Insn{mov64(0, 7), exit()})
-	if r.WorstCase() != 2 {
-		t.Fatalf("worst case = %d, want 2", r.WorstCase())
-	}
 	if len(r.Branches) != 0 {
 		t.Fatalf("unexpected branch facts: %v", r.Branches)
 	}
@@ -75,9 +72,6 @@ func TestAnalyzeDeadFallEdge(t *testing.T) {
 	}
 	if r.Reachable[2] {
 		t.Fatal("pc 2 should be unreachable")
-	}
-	if r.WorstCase() != 3 {
-		t.Fatalf("worst case = %d, want 3", r.WorstCase())
 	}
 	var kinds []string
 	for _, f := range r.Findings {
@@ -128,7 +122,9 @@ func TestAnalyzeDeadEdgeIntoInvalidCode(t *testing.T) {
 	})
 }
 
-func TestAnalyzeBoundedLoopExactCost(t *testing.T) {
+// TestAnalyzeBoundedLoop: a counted loop is accepted, and both edges
+// of its back branch are live, so no instruction is dead.
+func TestAnalyzeBoundedLoop(t *testing.T) {
 	// r6 = 0; loop: r6 += 1; if r6 < 10 goto loop; r0 = r6; exit
 	r := wantOK(t, []Insn{
 		mov64(6, 0),
@@ -137,9 +133,13 @@ func TestAnalyzeBoundedLoopExactCost(t *testing.T) {
 		movr(0, 6),
 		exit(),
 	})
-	// 1 (mov) + 10*(add+jlt) + 1 (mov) + 1 (exit) = 23
-	if r.WorstCase() != 23 {
-		t.Fatalf("worst case = %d, want 23", r.WorstCase())
+	if len(r.Branches) != 0 || len(r.Findings) != 0 {
+		t.Fatalf("branch facts %v, findings %v; want none", r.Branches, r.Findings)
+	}
+	for pc, ok := range r.Reachable {
+		if !ok {
+			t.Fatalf("pc %d unreachable", pc)
+		}
 	}
 }
 
@@ -159,10 +159,7 @@ func TestAnalyzeVariableOffsetStackAccess(t *testing.T) {
 		jmp(OpJlt, 6, 64, -8),
 		exit(),
 	}
-	r := wantOK(t, prog)
-	if r.WorstCase() != 3+64*8 {
-		t.Fatalf("worst case = %d, want %d", r.WorstCase(), 3+64*8)
-	}
+	wantOK(t, prog)
 	// One byte past the frame: the same program with 65 iterations
 	// writes through fp+8 and must be rejected.
 	bad := append([]Insn{}, prog...)
@@ -172,16 +169,13 @@ func TestAnalyzeVariableOffsetStackAccess(t *testing.T) {
 
 func TestAnalyzeUnboundedLoop(t *testing.T) {
 	// r6 = unknown (R1 at entry); loop: r6 += 1; if r6 != 0 goto loop
-	r := wantOK(t, []Insn{
+	wantOK(t, []Insn{
 		mov64(0, 0),
 		movr(6, 1),
 		alu64(OpAdd, 6, 1),
 		jmp(OpJne, 6, 0, -2),
 		exit(),
 	})
-	if r.WorstCase() != -1 {
-		t.Fatalf("worst case = %d, want -1 (unbounded)", r.WorstCase())
-	}
 }
 
 func TestAnalyzeJmp32Feasibility(t *testing.T) {
@@ -346,16 +340,13 @@ func TestAnalyzeMapHelperDiscipline(t *testing.T) {
 func TestAnalyzeWideningConverges(t *testing.T) {
 	// A loop whose induction variable never stabilizes without
 	// widening (grows by 3 each round, bounded only by the budget).
-	r := wantOK(t, []Insn{
+	wantOK(t, []Insn{
 		mov64(0, 0),
 		mov64(6, 0),
 		alu64(OpAdd, 6, 3),
 		jmpr(OpJne, 6, 1, -2), // compare against unknown r1
 		exit(),
 	})
-	if r.WorstCase() != -1 {
-		t.Fatalf("worst case = %d, want -1", r.WorstCase())
-	}
 }
 
 func TestAnalyzePoisonedArgsAfterCall(t *testing.T) {

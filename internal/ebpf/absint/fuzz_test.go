@@ -1,17 +1,15 @@
 // Differential soundness fuzzing for the abstract interpreter. The
 // fuzz target lives in an external test package so it can drive the
 // full ebpf VM (which imports absint) against the analysis results:
-// any divergence between what the analysis claims (dead edges, cost
-// bounds, accepted programs) and what the interpreter actually does is
+// any divergence between what the analysis claims (dead edges,
+// accepted programs) and what the interpreter actually does is
 // a crash, not a flaky finding.
 package absint_test
 
 import (
-	"strings"
 	"testing"
 
 	"snapbpf/internal/ebpf"
-	"snapbpf/internal/ebpf/absint"
 )
 
 // FuzzAbsint decodes arbitrary bytes into an instruction stream and
@@ -20,9 +18,7 @@ import (
 //  1. Analyze never panics, on any input.
 //  2. An analysis-accepted program loads (Verify accepts it too).
 //  3. If the analysis marks a branch edge dead, a concrete execution
-//     (observed via InterpBranches) never takes that edge, and if it
-//     computes a finite worst-case cost within the budget, the run
-//     does not abort on the instruction budget.
+//     (observed via InterpBranches) never takes that edge.
 func FuzzAbsint(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		if data, err := ebpf.MarshalInstructions(seed); err == nil {
@@ -67,18 +63,12 @@ func FuzzAbsint(f *testing.F) {
 					edgeName(pc, taken))
 			}
 		}
-		_, runErr := p.InterpBranches(nil, hook, 1, 2)
+		// A run may end on the instruction budget; only the edges it
+		// took matter here.
+		_, _ = p.InterpBranches(nil, hook, 1, 2)
 		if len(deadTaken) > 0 {
 			t.Fatalf("execution took statically dead edges %v\n%s",
 				deadTaken, ebpf.Disassemble(insns))
-		}
-
-		// A finite worst case within the budget means the run may not
-		// die on the dynamic budget check.
-		if wc := r.WorstCase(); wc >= 0 && wc <= absint.InsnBudget &&
-			runErr != nil && strings.Contains(runErr.Error(), "instruction budget") {
-			t.Fatalf("worst case %d within budget but run aborted: %v\n%s",
-				wc, runErr, ebpf.Disassemble(insns))
 		}
 	})
 }

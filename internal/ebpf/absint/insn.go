@@ -80,10 +80,6 @@ const (
 	StackSize = 512
 	// MaxProgramLen caps the instruction count, as in internal/ebpf.
 	MaxProgramLen = 4096
-	// InsnBudget mirrors the runtime instruction budget; a program
-	// whose worst-case instruction count stays at or under it can
-	// never trip the dynamic termination check.
-	InsnBudget = 1_000_000
 )
 
 // poisonConst is the value the interpreter clobbers R1–R5 with after

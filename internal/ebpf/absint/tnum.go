@@ -3,9 +3,7 @@
 // (known-bits) domain plus signed and unsigned interval bounds and
 // pointer provenance, runs a worklist fixpoint over the basic-block
 // CFG, and evaluates branch feasibility; it is the whole of
-// ebpf.Verify. On request (Result.WorstCase) it derives a static
-// worst-case instruction bound for bounded programs from the kept
-// fixpoint states.
+// ebpf.Verify.
 //
 // The package is a leaf: it deliberately does not import
 // internal/ebpf (which consumes it from the verifier).

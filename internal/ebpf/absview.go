@@ -57,8 +57,8 @@ func analyzeProgram(insns []Instruction, res helperResolver) *absint.Result {
 }
 
 // WriteAbsintReport renders an analysis result as the human-readable
-// static-analysis report `snapbpf-ebpf-check` prints: verdict,
-// worst-case cost, then every finding with its disassembled
+// static-analysis report `snapbpf-ebpf-check` prints: verdict and
+// length, then every finding with its disassembled
 // instruction. It returns the number of unproven accesses (the
 // contract `snapbpf-ebpf-check` enforces).
 func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *absint.Result) int {
@@ -66,13 +66,7 @@ func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *absint.
 	if !r.OK {
 		verdict = "REJECTED"
 	}
-	fmt.Fprintf(w, "program %s: %s, %d insns", name, verdict, len(insns))
-	if wc := r.WorstCase(); wc >= 0 {
-		fmt.Fprintf(w, ", worst case %d insns", wc)
-	} else {
-		fmt.Fprintf(w, ", worst case unbounded (dynamic budget applies)")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "program %s: %s, %d insns\n", name, verdict, len(insns))
 	if r.Err != nil {
 		fmt.Fprintf(w, "  error at pc %d: %s\n    state: %s\n", r.Err.PC, r.Err.Msg, r.Err.State)
 	}
@@ -92,8 +86,7 @@ func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *absint.
 
 // Analyze runs the abstract interpreter over insns in this VM's
 // helper/map environment and returns the full result: reachability,
-// per-branch feasibility, findings, and (through Result.WorstCase) the
-// static worst-case instruction bound. It is the analysis Verify runs,
+// per-branch feasibility and findings. It is the analysis Verify runs,
 // and it does not require the program to pass.
 func (vm *VM) Analyze(insns []Instruction) *absint.Result {
 	return analyzeProgram(insns, vm)

@@ -68,8 +68,8 @@ func isMapHelper(id int32) (ptrArgs int, ok bool) {
 // Code behind an edge no execution can take is never checked, so a
 // bounded scan over a proven induction variable, or an invalid region
 // guarded by an always-true branch, is accepted. The first failure in
-// program order is returned as a *VerifyError. Verify never computes
-// the static worst-case cost; VM.Analyze exposes it for report mode.
+// program order is returned as a *VerifyError. VM.Analyze returns the
+// full analysis for report mode.
 func Verify(insns []Instruction, res helperResolver) error {
 	r := analyzeProgram(insns, res)
 	if r.OK {
