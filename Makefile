@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint vendorcheck fmtcheck check race cover bench bench-json fitness repro examples clean
+.PHONY: all build test vet lint vendorcheck fmtcheck check race cover bench bench-json fitness repro clean
 
 all: build vet test
 
@@ -75,12 +75,6 @@ bench-json:
 # serial.
 repro:
 	$(GO) run ./cmd/snapbpf-bench -fitness -csv results -report results/report.md
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/capture
-	$(GO) run ./examples/pagecachetrace
-	$(GO) run ./examples/concurrent
 
 clean:
 	rm -rf results bin test_output.txt bench_output.txt

@@ -18,7 +18,7 @@
 //	res, _ := snapbpf.Run(fn, snapbpf.SchemeSnapBPF, snapbpf.RunConfig{N: 1})
 //	fmt.Println(res.MeanE2E)
 //
-// See examples/ for runnable programs and cmd/snapbpf-bench for the
+// The package examples are runnable programs; cmd/snapbpf-bench is the
 // full evaluation harness.
 package snapbpf
 
@@ -73,7 +73,7 @@ type (
 
 	// Host is one simulated machine (engine, SSD, page cache, memory
 	// manager, kprobes, eBPF); advanced users compose their own
-	// scenarios against it as the examples do.
+	// scenarios against it as ExampleAttachKprobe does.
 	Host = vmm.Host
 
 	// MicroVM is one VM sandbox restored from a snapshot.
