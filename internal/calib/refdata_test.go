@@ -1,7 +1,9 @@
 package calib
 
 import (
+	"encoding/csv"
 	"math"
+	"os"
 	"testing"
 
 	"snapbpf/internal/experiments"
@@ -57,6 +59,55 @@ func TestReferencesParse(t *testing.T) {
 		}
 		if id != "table1" && len(f.Rows) != 15 {
 			t.Errorf("%s: %d rows, want the 15-function suite", id, len(f.Rows))
+		}
+	}
+}
+
+// The overheads references are the reviewed values of the committed
+// results/overheads.csv, not the paper's: every reference row must
+// equal its Load (ms) cell there, so regenerating the CSV without
+// updating the references (or the reverse) fails here.
+func TestOverheadsReferencesMatchCommittedCSV(t *testing.T) {
+	f, err := os.Open("../../results/overheads.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for i, h := range recs[0] {
+		if h == "Load (ms)" {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatalf("results/overheads.csv has no Load (ms) column: %v", recs[0])
+	}
+	load := map[string]string{}
+	for _, r := range recs[1:] {
+		load[r[0]] = r[col]
+	}
+	for _, fig := range References() {
+		if fig.ID != "overheads" {
+			continue
+		}
+		for _, row := range fig.Rows {
+			cell, ok := load[row.Key]
+			if !ok {
+				t.Errorf("%s: no row in results/overheads.csv", row.Key)
+				continue
+			}
+			got, err := ParseValue(cell)
+			if err != nil {
+				t.Errorf("%s: %v", row.Key, err)
+				continue
+			}
+			if got != row.Vals[0] {
+				t.Errorf("%s: reference %v, results/overheads.csv %v", row.Key, row.Vals[0], got)
+			}
 		}
 	}
 }
