@@ -163,7 +163,8 @@ func generate(fnName, outdir string) error {
 	if err := write(fn.Name+".snapmem", img.SaveFile); err != nil {
 		return err
 	}
-	if err := write(fn.Name+".trace", fn.GenTrace().SaveFile); err != nil {
+	tr := fn.GenTrace() // read-only: every record below replays it
+	if err := write(fn.Name+".trace", tr.SaveFile); err != nil {
 		return err
 	}
 
@@ -196,8 +197,8 @@ func generate(fnName, outdir string) error {
 			Fn:          fn,
 			Image:       zimg,
 			SnapInode:   h.RegisterSnapshot(fn.Name+".snapmem", zimg),
-			RecordTrace: fn.GenTrace(),
-			InvokeTrace: fn.GenTrace(),
+			RecordTrace: tr,
+			InvokeTrace: tr,
 		}
 		save, name := r.make(env)
 		if err := write(name, save); err != nil {

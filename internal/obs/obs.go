@@ -73,9 +73,9 @@ type frameStack struct {
 	fs []frame
 }
 
-// Recorder observes one simulated host. It is confined to the
-// engine's single runnable goroutine, like every other observer, so
-// it needs no locking.
+// Recorder observes one simulated host. Like every other observer,
+// it runs only where its engine holds control, one process or
+// callback at a time, so it needs no locking.
 type Recorder struct {
 	cfg Config
 	eng *sim.Engine

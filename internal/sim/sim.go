@@ -1,34 +1,33 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation
-// kernel with goroutine-backed sequential processes.
+// kernel with coroutine-backed sequential processes.
 //
 // The engine advances a virtual clock (nanosecond resolution) through a
 // priority queue of events. Simulated activities — a VMM restoring a
 // snapshot, a function faulting on guest memory, an SSD completing a
 // read — are modelled either as plain scheduled callbacks or as
-// Processes: goroutines that run one at a time and can block on virtual
-// time (Sleep) or on conditions (Waiter, Semaphore). A callback that
-// only waits for one Waiter needs no process: Waiter.OnFire runs it
-// when the waiter fires, at the same point a waiting process would
-// resume. Exactly one goroutine holds control at any instant, so
-// simulations are fully deterministic: events at equal timestamps fire
-// in scheduling order.
+// Processes: iter.Pull coroutines that run one at a time and can block
+// on virtual time (Sleep) or on conditions (Waiter, Semaphore). A
+// callback that only waits for one Waiter needs no process:
+// Waiter.OnFire runs it when the waiter fires, at the same point a
+// waiting process would resume. One process or callback runs at a
+// time, so simulations are fully deterministic: events at equal
+// timestamps fire in scheduling order.
 //
-// Control passes from goroutine to goroutine without a central
-// scheduler goroutine. Whichever goroutine holds control — the caller
-// of Run/RunUntil, or a process that just blocked or finished — runs
-// the dispatch loop itself: callbacks execute inline, and the first
-// event that resumes a process ends the loop. A process whose own
-// resume comes next carries on with no goroutine switch; otherwise
-// control moves to the resumed process in one channel send, or back
-// to Run when nothing more is due. Run is therefore not reentrant: a
-// callback or process that calls Run panics. A panic in a process, or
-// in a callback dispatched on a process's goroutine, is recovered
-// there and re-raised from Run on the caller's goroutine, naming the
-// process and carrying the original stack.
+// Run and RunUntil resume processes in a loop on the caller's
+// goroutine. A process that blocks runs the dispatch loop itself:
+// callbacks execute inline until an event resumes a process; if that
+// is the process itself it carries on, otherwise it yields to Run,
+// which resumes that process, if any. Run is therefore not reentrant: a callback or
+// process that calls Run panics. A panic in a process, or in a
+// callback it dispatches, is recovered in its coroutine and re-raised
+// from Run, naming the process and carrying the original stack.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"time"
@@ -67,17 +66,14 @@ type Engine struct {
 	// batchSeq delimits the batch in progress: events at now with
 	// seq <= batchSeq were scheduled before the batch began and run
 	// without another ClockAdvanced. It lives on the engine, not on a
-	// stack, so whichever goroutine holds control can continue a batch.
+	// stack, so a blocking process can continue a batch.
 	batchSeq uint64
 	until    Time // dispatch horizon of the Run/RunUntil in progress
 	running  bool
 	nprocs   int // live (not yet finished) processes
 	obs      []Observer
-
-	// home carries control back to the goroutine in Run/RunUntil when
-	// a process finds no event due before the horizon.
-	home    chan struct{}
-	failure string // a panic recovered on a process goroutine, re-raised by Run
+	handoff  *Proc  // the process Run resumes next, left by one that yields
+	failure  string // a panic recovered in a process, re-raised by Run
 }
 
 // Observer receives engine scheduling events for the correctness
@@ -107,9 +103,7 @@ func AppendObserver[T any](list []T, o T) []T {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{home: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // eventLess orders the heap by timestamp, FIFO among equal timestamps.
 func eventLess(a, b *event) bool {
@@ -245,8 +239,8 @@ func (e *Engine) next() *event {
 	return e.pop()
 }
 
-// dispatch runs due callbacks on the calling goroutine and returns the
-// first process to resume, or nil when no event is due.
+// dispatch runs due callbacks inline and returns the first process to
+// resume, or nil when no event is due.
 func (e *Engine) dispatch() *Proc {
 	for {
 		ev := e.next()
@@ -260,16 +254,6 @@ func (e *Engine) dispatch() *Proc {
 		}
 		fn()
 	}
-}
-
-// handOff passes control from a process goroutine to p, or back to
-// Run when p is nil.
-func (e *Engine) handOff(p *Proc) {
-	if p == nil {
-		e.home <- struct{}{}
-		return
-	}
-	p.resume()
 }
 
 // Run processes events until the queue is empty. It returns the final
@@ -294,16 +278,15 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// run dispatches events due at or before until. Control may travel
-// through any number of processes before one of them sends it home.
+// run dispatches events due at or before until, resuming each process
+// that a dispatch returns until one yields with nothing left to resume.
 func (e *Engine) run(until Time) {
 	if e.running {
 		panic("sim: Run called while the engine is running")
 	}
 	e.running, e.until = true, until
-	if p := e.dispatch(); p != nil {
+	for p := e.dispatch(); p != nil; p, e.handoff = e.handoff, nil {
 		p.resume()
-		<-e.home
 	}
 	e.running = false
 	if msg := e.failure; msg != "" {
@@ -312,14 +295,15 @@ func (e *Engine) run(until Time) {
 	}
 }
 
-// Proc is a sequential simulated process backed by a goroutine. All
-// Proc methods must be called from the process's own goroutine (inside
-// the function passed to Go).
+// Proc is a sequential simulated process backed by a coroutine. All
+// Proc methods must be called from the process itself (inside the
+// function passed to Go).
 type Proc struct {
-	eng  *Engine
-	name string
-	fn   func(p *Proc) // body, until the first dispatch starts the goroutine
-	wake chan struct{} // control arrives here while the process is blocked
+	eng   *Engine
+	name  string
+	fn    func(p *Proc)           // body, run by the coroutine
+	next  func() (struct{}, bool) // resumes the coroutine; nil until the first dispatch
+	yield func(struct{}) bool     // suspends the coroutine back to next's caller
 }
 
 // Engine returns the engine this process runs on.
@@ -342,51 +326,49 @@ func (e *Engine) GoAfter(delay Duration, name string, fn func(p *Proc)) *Proc {
 	if delay < 0 {
 		delay = 0
 	}
-	p := &Proc{eng: e, name: name, fn: fn, wake: make(chan struct{})}
+	p := &Proc{eng: e, name: name, fn: fn}
 	e.nprocs++
 	e.schedule(e.now.Add(delay), nil, p)
 	return p
 }
 
-// resume gives control to p: its first dispatch starts the goroutine,
-// later ones wake it inside block.
+// resume runs p until it blocks or finishes: its first dispatch
+// creates the coroutine, so a process that never starts holds none.
 func (p *Proc) resume() {
-	if fn := p.fn; fn != nil {
-		p.fn = nil
-		go p.main(fn)
-		return
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.main)
 	}
-	p.wake <- struct{}{}
+	p.next()
 }
 
-// main is the body of a process goroutine. When fn returns, the
-// finished process keeps dispatching until it hands control on. A
-// panic is recorded for Run to re-raise, and control goes home.
-func (p *Proc) main(fn func(p *Proc)) {
+// main is the body of a process coroutine. When fn returns, the
+// finished process dispatches on and leaves Run the next process to
+// resume. A panic is recorded for Run to re-raise.
+func (p *Proc) main(yield func(struct{}) bool) {
 	e := p.eng
 	defer func() {
 		if r := recover(); r != nil {
 			e.failure = fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack())
-			e.home <- struct{}{}
 		}
 	}()
-	fn(p)
+	p.yield = yield
+	p.fn(p)
 	e.nprocs--
-	e.handOff(e.dispatch())
+	e.handoff = e.dispatch()
 }
 
 // block suspends the process until its resume event is dispatched.
-// Meanwhile the process's goroutine runs the dispatch loop: if its own
-// resume is next it returns at once, otherwise it hands control on and
-// waits for it to come back.
+// Meanwhile the process runs the dispatch loop: if its own resume is
+// next it returns at once, otherwise it leaves the resumed process (or
+// none) to Run and yields until Run resumes it.
 func (p *Proc) block() {
 	e := p.eng
 	q := e.dispatch()
 	if q == p {
 		return
 	}
-	e.handOff(q)
-	<-p.wake
+	e.handoff = q
+	p.yield(struct{}{})
 }
 
 // Sleep advances the process by d of virtual time.

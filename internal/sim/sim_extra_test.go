@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -326,5 +327,65 @@ func TestFinishedProcsExit(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after Run", before, runtime.NumGoroutine())
 		}
 		runtime.Gosched()
+	}
+}
+
+func TestProcStartAllocs(t *testing.T) {
+	// Go, the first resume and the finish of a process whose body
+	// allocates nothing: the Proc and its coroutine.
+	const want = 13
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(1) }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Go("p", body)
+		e.Run()
+	})
+	if allocs > want {
+		t.Fatalf("process start: %v allocs, want <= %d", allocs, want)
+	}
+}
+
+func TestRunResumesOnAnotherGoroutine(t *testing.T) {
+	// Processes started under RunUntil on one goroutine are resumed by
+	// Run on another: the end time and the observer stream match a run
+	// with both calls on the test's goroutine.
+	scenario := func(call func(func())) (Time, string) {
+		e := NewEngine()
+		rec := &streamRecorder{}
+		e.AddObserver(rec)
+		w := e.NewWaiter()
+		s := e.NewSemaphore(1)
+		for i := 0; i < 3; i++ {
+			i := i
+			e.Go(fmt.Sprint("p", i), func(p *Proc) {
+				p.Acquire(s)
+				p.Sleep(Duration(10 * (i + 1)))
+				s.Release()
+				p.Wait(w)
+				rec.mark(fmt.Sprint("p", i, ":woke"))
+			})
+		}
+		e.Schedule(25, w.Fire)
+		call(func() { e.RunUntil(15) })
+		var end Time
+		call(func() { end = e.Run() })
+		return end, strings.Join(rec.calls, " ")
+	}
+	inline := func(f func()) { f() }
+	onGoroutine := func(f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		<-done
+	}
+	wantEnd, wantCalls := scenario(inline)
+	end, calls := scenario(onGoroutine)
+	if end != wantEnd || calls != wantCalls {
+		t.Fatalf("across goroutines: end %v, stream\n%s\nwant end %v, stream\n%s", end, calls, wantEnd, wantCalls)
+	}
+	if wantEnd != 60 {
+		t.Fatalf("end = %v, want 60", wantEnd)
 	}
 }

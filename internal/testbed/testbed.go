@@ -125,11 +125,14 @@ type Fn struct {
 
 // Stage builds a fresh instance of scheme for fn, builds fn's
 // snapshot image for it, registers the image as a file on h, declares
-// its contents to the checker and builds the scheme's Env. With a
-// chunk cache, the snapshot's manifest is bound to it. Functions
+// its contents to the checker and builds the scheme's Env. The record
+// and measured invocations share one generated trace: traces are
+// read-only once generated, and both runs take identical inputs. With
+// a chunk cache, the snapshot's manifest is bound to it. Functions
 // record and preload in staging order.
 func (h *Host) Stage(fn workload.Function, scheme Scheme) *Fn {
 	pf := scheme.New()
+	tr := fn.GenTrace()
 	img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
 	inode := h.RegisterSnapshot(h.label(fn.Name+".snapmem"), img)
 	if h.Chk != nil {
@@ -140,8 +143,8 @@ func (h *Host) Stage(fn workload.Function, scheme Scheme) *Fn {
 		Fn:          fn,
 		Image:       img,
 		SnapInode:   inode,
-		RecordTrace: fn.GenTrace(),
-		InvokeTrace: fn.GenTrace(),
+		RecordTrace: tr,
+		InvokeTrace: tr,
 		Faults:      h.Inj,
 		Observers:   h.observers,
 	}}

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +68,27 @@ func TestArmedColdStart(t *testing.T) {
 	}
 	if rep == nil || rep.Metrics() == nil || counts == nil || counts.Prepares != 2 || counts.GuestAccesses == 0 {
 		t.Fatalf("Finish = %v, %+v; want a metrics report and a tally of the run", rep, counts)
+	}
+}
+
+// Stage generates one trace for the record and the measured runs, and
+// neither a record nor a cold start writes to it.
+func TestStagedTraceSharedAndReadOnly(t *testing.T) {
+	h := Arm(vmm.NewHost(blockdev.MicronSATA5300()), "", Arming{Check: true})
+	f := h.Stage(tinyFn("tiny"), linuxRA)
+	tr := f.Env.InvokeTrace
+	if f.Env.RecordTrace != tr {
+		t.Fatal("record and invoke traces are separate copies")
+	}
+	ops := slices.Clone(tr.Ops)
+	if err := Record(0, h); err != nil {
+		t.Fatal(err)
+	}
+	for _, sb := range coldStarts(t, h, f, 2) {
+		sb.VM.Shutdown()
+	}
+	if !slices.Equal(tr.Ops, ops) {
+		t.Fatal("the record or a cold start changed the shared trace's ops")
 	}
 }
 
