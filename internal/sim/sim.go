@@ -15,14 +15,14 @@
 // time, so simulations are fully deterministic: events at equal
 // timestamps fire in scheduling order.
 //
-// Run and RunUntil resume processes in a loop on the caller's
-// goroutine. A process that blocks runs the dispatch loop itself:
-// callbacks execute inline until an event resumes a process; if that
-// is the process itself it carries on, otherwise it yields to Run,
-// which resumes that process, if any. Run is therefore not reentrant: a callback or
-// process that calls Run panics. A panic in a process, or in a
-// callback it dispatches, is recovered in its coroutine and re-raised
-// from Run, naming the process and carrying the original stack.
+// Run and RunUntil resume processes in a loop on the caller's goroutine. A
+// process that blocks runs the dispatch loop itself: callbacks execute
+// inline until an event resumes a process; if that is the process itself
+// it carries on, otherwise it yields to Run, which resumes that process,
+// if any. Run is therefore not reentrant: a callback or process that calls
+// Run panics. A panic in a process, or in a callback it dispatches, is
+// recovered in its coroutine and re-raised from Run, naming the process
+// and carrying the original stack.
 package sim
 
 import (
