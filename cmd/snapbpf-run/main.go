@@ -91,6 +91,10 @@ func main() {
 		fatal(fmt.Errorf("unknown device %q (ssd, nvme, hdd)", *device))
 	}
 
+	if *cacheMiB < 0 {
+		// Pages() would clamp it to 0, which means unlimited.
+		fatal(fmt.Errorf("negative -cache-limit %d MiB", *cacheMiB))
+	}
 	cfg := experiments.Config{
 		N:               *n,
 		AllocDrift:      *drift,

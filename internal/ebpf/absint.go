@@ -1,15 +1,15 @@
-package absint
+package ebpf
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Opts supplies the environment facts the analysis needs from the
-// loader: which constants name registered maps and which helper ids
-// resolve. All callbacks may be nil, in which case no constant names
-// a map and every call is rejected.
-type Opts struct {
+// analysisOpts supplies the environment facts the analysis needs from
+// the loader: which constants name registered maps and which helper
+// ids resolve. All callbacks may be nil, in which case no constant
+// names a map and every call is rejected.
+type analysisOpts struct {
 	// ValidMapFD reports whether fd names a registered map.
 	ValidMapFD func(fd int64) bool
 	// KnownHelper reports whether a call target id resolves.
@@ -33,27 +33,27 @@ type Finding struct {
 	Msg  string
 }
 
-// Error is the first (in program order) reason the analysis cannot
+// AnalysisError is the first (in program order) reason the analysis cannot
 // prove the program safe, with the abstract register state at that
 // point.
-type Error struct {
+type AnalysisError struct {
 	PC    int
 	Msg   string
 	State string
 }
 
-func (e *Error) Error() string {
+func (e *AnalysisError) Error() string {
 	return fmt.Sprintf("absint: insn %d: %s [%s]", e.PC, e.Msg, e.State)
 }
 
-// Result is the full analysis outcome.
-type Result struct {
+// AnalysisResult is the full analysis outcome.
+type AnalysisResult struct {
 	// OK reports that every reachable instruction is legal and every
 	// reachable memory access and helper argument is proven in
 	// bounds: the program cannot fault at runtime (the dynamic
 	// instruction budget remains the only permitted abort).
 	OK  bool
-	Err *Error
+	Err *AnalysisError
 	// Reachable marks instructions some execution may reach (an
 	// over-approximation; the lddw upper slot inherits its first
 	// slot's reachability).
@@ -67,23 +67,19 @@ type Result struct {
 
 // state is the abstract machine state at one program point.
 type state struct {
-	regs [NumRegisters]Val
+	regs [numRegisters]absVal
 }
 
 func (s *state) String() string {
 	var b strings.Builder
-	for i := 0; i < NumRegisters; i++ {
-		if s.regs[i].K == KindUninit {
+	for r, v := range s.regs {
+		if v.K == kindUninit {
 			continue
 		}
 		if b.Len() > 0 {
 			b.WriteString(" ")
 		}
-		name := fmt.Sprintf("r%d", i)
-		if i == RegFP {
-			name = "fp"
-		}
-		fmt.Fprintf(&b, "%s=%s", name, s.regs[i])
+		fmt.Fprintf(&b, "%s=%s", Register(r), v)
 	}
 	if b.Len() == 0 {
 		return "all uninit"
@@ -96,7 +92,7 @@ func entryState() state {
 	for r := 1; r <= 5; r++ {
 		st.regs[r] = unknownScalar()
 	}
-	st.regs[RegFP] = stackPtrVal(0)
+	st.regs[R10] = stackPtrVal(0)
 	return st
 }
 
@@ -108,9 +104,9 @@ type succ struct {
 }
 
 type analysis struct {
-	insns []Insn
-	opts  Opts
-	hi    []bool // second slots of lddw pairs, as the decoder sees them
+	insns []Instruction
+	opts  analysisOpts
+	hi    []bool // second slots of lddw pairs; see markHiSlots
 	seen  []*state
 	joins []int // changed-join count per pc, for widening
 	// out backs the successor slice step returns, so the fixpoint
@@ -123,18 +119,19 @@ type analysis struct {
 // own: its unknown-bit mask only ever grows).
 const widenAfter = 8
 
-// Analyze runs the abstract interpretation over insns and returns the
-// full result. It never panics on malformed input; anything it cannot
-// decode or prove turns into findings and a non-OK result.
-func Analyze(insns []Insn, opts Opts) *Result {
-	res := &Result{Reachable: make([]bool, len(insns)), Branches: map[int]Branch{}}
+// analyzeInsns runs the abstract interpretation over insns and
+// returns the full result. It never panics on malformed input;
+// anything it cannot decode or prove turns into findings and a non-OK
+// result.
+func analyzeInsns(insns []Instruction, opts analysisOpts) *AnalysisResult {
+	res := &AnalysisResult{Reachable: make([]bool, len(insns)), Branches: map[int]Branch{}}
 	fail := func(pc int, st *state, format string, args ...any) {
 		dump := "no state"
 		if st != nil {
 			dump = st.String()
 		}
 		if res.Err == nil {
-			res.Err = &Error{PC: pc, Msg: fmt.Sprintf(format, args...), State: dump}
+			res.Err = &AnalysisError{PC: pc, Msg: fmt.Sprintf(format, args...), State: dump}
 		}
 	}
 	if len(insns) == 0 {
@@ -239,24 +236,24 @@ func Analyze(insns []Insn, opts Opts) *Result {
 	return res
 }
 
-// markHiSlots mirrors the decoder's linear scan: the slot after a
+// markHiSlots scans the program linearly: the slot after a
 // well-formed lddw first slot is its upper half and is never examined
 // as an instruction of its own.
-func markHiSlots(insns []Insn) []bool {
+func markHiSlots(insns []Instruction) []bool {
 	hi := make([]bool, len(insns))
 	for pc := 0; pc < len(insns); pc++ {
 		if hi[pc] {
 			continue
 		}
-		if insns[pc].class() == ClassLD && insns[pc].Op == OpLdImm64 && pc+1 < len(insns) {
+		if insns[pc].Class() == ClassLD && insns[pc].Op == OpLdImm64 && pc+1 < len(insns) {
 			hi[pc+1] = true
 		}
 	}
 	return hi
 }
 
-func isCondJump(in Insn) bool {
-	switch in.class() {
+func isCondJump(in Instruction) bool {
+	switch in.Class() {
 	case ClassJMP, ClassJMP32:
 		switch in.aluOp() {
 		case OpJa, OpCall, OpExit:
@@ -324,12 +321,12 @@ func (a *analysis) flow(pc int, st state) bool {
 
 // checkTarget validates a control transfer destination the way the
 // runtime dispatch loop would experience it.
-func (a *analysis) checkTarget(pc, target int, st *state) *Error {
+func (a *analysis) checkTarget(pc, target int, st *state) *AnalysisError {
 	if target < 0 || target >= len(a.insns) {
-		return &Error{PC: pc, Msg: fmt.Sprintf("control flow falls off the program (pc=%d)", target), State: st.String()}
+		return &AnalysisError{PC: pc, Msg: fmt.Sprintf("control flow falls off the program (pc=%d)", target), State: st.String()}
 	}
 	if a.hi[target] {
-		return &Error{PC: pc, Msg: fmt.Sprintf("jump into the upper half of a lddw (pc=%d)", target), State: st.String()}
+		return &AnalysisError{PC: pc, Msg: fmt.Sprintf("jump into the upper half of a lddw (pc=%d)", target), State: st.String()}
 	}
 	return nil
 }
@@ -339,15 +336,15 @@ func (a *analysis) checkTarget(pc, target int, st *state) *Error {
 // instruction cannot be proven safe. It carries the verifier's static
 // checks and mirrors the interpreter's dynamic semantics. The returned
 // slice aliases a.out: the next step call overwrites it.
-func (a *analysis) step(pc int, st state) ([]succ, *Error) {
+func (a *analysis) step(pc int, st state) ([]succ, *AnalysisError) {
 	in := a.insns[pc]
-	fail := func(format string, args ...any) ([]succ, *Error) {
-		return nil, &Error{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
+	fail := func(format string, args ...any) ([]succ, *AnalysisError) {
+		return nil, &AnalysisError{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
 	}
 	if a.hi[pc] {
 		return fail("fell into the upper half of a lddw")
 	}
-	one := func(target int) ([]succ, *Error) {
+	one := func(target int) ([]succ, *AnalysisError) {
 		if err := a.checkTarget(pc, target, &st); err != nil {
 			return nil, err
 		}
@@ -355,22 +352,22 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		return a.out[:1], nil
 	}
 
-	switch in.class() {
+	switch in.Class() {
 	case ClassALU64, ClassALU:
-		if in.Dst >= NumRegisters || (in.usesRegSrc() && in.Src >= NumRegisters) {
+		if in.Dst >= numRegisters || (in.usesRegSrc() && in.Src >= numRegisters) {
 			return fail("bad register")
 		}
-		if in.Dst == RegFP {
+		if in.Dst == R10 {
 			return fail("R10 is read-only")
 		}
 		op := in.aluOp()
 		if op > OpArsh {
 			return fail("unsupported alu op %#x", op)
 		}
-		if in.usesRegSrc() && st.regs[in.Src].K == KindUninit {
+		if in.usesRegSrc() && st.regs[in.Src].K == kindUninit {
 			return fail("read of uninitialized register r%d", in.Src)
 		}
-		if op != OpMov && st.regs[in.Dst].K == KindUninit {
+		if op != OpMov && st.regs[in.Dst].K == kindUninit {
 			return fail("read of uninitialized register r%d", in.Dst)
 		}
 		if (op == OpDiv || op == OpMod) && !in.usesRegSrc() && in.Imm == 0 {
@@ -389,7 +386,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		if a.insns[pc+1].Op != 0 {
 			return fail("lddw second slot has nonzero opcode")
 		}
-		if in.Dst >= NumRegisters || in.Dst == RegFP {
+		if in.Dst >= numRegisters || in.Dst == R10 {
 			return fail("bad lddw destination")
 		}
 		imm64 := uint64(uint32(in.Imm)) | uint64(uint32(a.insns[pc+1].Imm))<<32
@@ -404,7 +401,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		if in.size() == 0 {
 			return fail("bad size")
 		}
-		if in.Dst >= NumRegisters || in.Dst == RegFP || in.Src >= NumRegisters {
+		if in.Dst >= numRegisters || in.Dst == R10 || in.Src >= numRegisters {
 			return fail("bad register")
 		}
 		if msg := proveStackWindow(st.regs[in.Src], int64(in.Off), in.size()); msg != "" {
@@ -419,10 +416,10 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		if in.size() == 0 {
 			return fail("bad size")
 		}
-		if in.Dst >= NumRegisters || in.Src >= NumRegisters {
+		if in.Dst >= numRegisters || in.Src >= numRegisters {
 			return fail("bad register")
 		}
-		if st.regs[in.Src].K == KindUninit {
+		if st.regs[in.Src].K == kindUninit {
 			return fail("store of uninitialized register r%d", in.Src)
 		}
 		if msg := proveStackWindow(st.regs[in.Dst], int64(in.Off), in.size()); msg != "" {
@@ -434,7 +431,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		if in.size() == 0 {
 			return fail("bad size")
 		}
-		if in.Dst >= NumRegisters {
+		if in.Dst >= numRegisters {
 			return fail("bad register")
 		}
 		if msg := proveStackWindow(st.regs[in.Dst], int64(in.Off), in.size()); msg != "" {
@@ -443,7 +440,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		return one(pc + 1)
 
 	case ClassJMP, ClassJMP32:
-		if in.class() == ClassJMP32 {
+		if in.Class() == ClassJMP32 {
 			switch in.aluOp() {
 			case OpExit, OpCall, OpJa:
 				return fail("exit/call/ja must use the 64-bit JMP class")
@@ -451,7 +448,7 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 		}
 		switch in.aluOp() {
 		case OpExit:
-			if st.regs[0].K == KindUninit {
+			if st.regs[0].K == kindUninit {
 				return fail("R0 not initialized at exit")
 			}
 			return nil, nil
@@ -463,17 +460,17 @@ func (a *analysis) step(pc int, st state) ([]succ, *Error) {
 			return a.stepJump(pc, st)
 		}
 	}
-	return fail("unsupported instruction class %#x", in.class())
+	return fail("unsupported instruction class %#x", in.Class())
 }
 
 func (a *analysis) isMapFD(fd int64) bool {
 	return a.opts.ValidMapFD != nil && fd >= 0 && fd <= 1<<31-1 && a.opts.ValidMapFD(fd)
 }
 
-func (a *analysis) stepCall(pc int, st state) ([]succ, *Error) {
+func (a *analysis) stepCall(pc int, st state) ([]succ, *AnalysisError) {
 	in := a.insns[pc]
-	fail := func(format string, args ...any) ([]succ, *Error) {
-		return nil, &Error{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
+	fail := func(format string, args ...any) ([]succ, *AnalysisError) {
+		return nil, &AnalysisError{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
 	}
 	if a.opts.KnownHelper == nil || !a.opts.KnownHelper(in.Imm) {
 		return fail("unknown helper %d", in.Imm)
@@ -484,7 +481,7 @@ func (a *analysis) stepCall(pc int, st state) ([]succ, *Error) {
 			// discipline, proven over abstract values: R1 must name a
 			// map, the pointer arguments must be provably-in-frame
 			// 8-byte windows (the helpers read/write u64 through them).
-			if st.regs[1].K != KindMapConst {
+			if st.regs[1].K != kindMapConst {
 				return fail("map helper requires a map reference in R1 (got %s)", st.regs[1])
 			}
 			for arg := 0; arg < ptrArgs; arg++ {
@@ -510,33 +507,33 @@ func (a *analysis) stepCall(pc int, st state) ([]succ, *Error) {
 	return a.out[:1], nil
 }
 
-func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
+func (a *analysis) stepJump(pc int, st state) ([]succ, *AnalysisError) {
 	in := a.insns[pc]
-	fail := func(format string, args ...any) ([]succ, *Error) {
-		return nil, &Error{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
+	fail := func(format string, args ...any) ([]succ, *AnalysisError) {
+		return nil, &AnalysisError{PC: pc, Msg: fmt.Sprintf(format, args...), State: st.String()}
 	}
 	op := in.aluOp()
 	if op > OpJsle {
 		return fail("unsupported jmp op %#x", op)
 	}
-	if in.Dst >= NumRegisters || (in.usesRegSrc() && in.Src >= NumRegisters) {
+	if in.Dst >= numRegisters || (in.usesRegSrc() && in.Src >= numRegisters) {
 		return fail("register out of range in conditional jump")
 	}
-	if st.regs[in.Dst].K == KindUninit {
+	if st.regs[in.Dst].K == kindUninit {
 		return fail("read of uninitialized register r%d", in.Dst)
 	}
-	if in.usesRegSrc() && st.regs[in.Src].K == KindUninit {
+	if in.usesRegSrc() && st.regs[in.Src].K == kindUninit {
 		return fail("read of uninitialized register r%d", in.Src)
 	}
 
 	d := scalarView(st.regs[in.Dst])
-	var s Val
+	var s absVal
 	if in.usesRegSrc() {
 		s = scalarView(st.regs[in.Src])
 	} else {
 		s = constVal(uint64(int64(in.Imm)))
 	}
-	j32 := in.class() == ClassJMP32
+	j32 := in.Class() == ClassJMP32
 	if j32 {
 		// The interpreter compares the sign-extended low words.
 		d = sext32(low32(d))
@@ -547,7 +544,7 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 		}
 	}
 
-	edge := func(target int, taken bool) (succ, *Error, bool) {
+	edge := func(target int, taken bool) (succ, *AnalysisError, bool) {
 		nd, ns, feasible := refineCond(op, d, s, taken)
 		if !feasible {
 			return succ{}, nil, false
@@ -556,10 +553,10 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 		if !j32 {
 			// Write the branch facts back for plain scalars; pointer
 			// and map values keep their provenance untouched.
-			if est.regs[in.Dst].K == KindScalar {
+			if est.regs[in.Dst].K == kindScalar {
 				est.regs[in.Dst] = nd
 			}
-			if in.usesRegSrc() && est.regs[in.Src].K == KindScalar {
+			if in.usesRegSrc() && est.regs[in.Src].K == kindScalar {
 				est.regs[in.Src] = ns
 			}
 		}
@@ -602,14 +599,14 @@ func (a *analysis) stepJump(pc int, st state) ([]succ, *Error) {
 
 // aluXfer computes the new value of the destination register for a
 // validated ALU instruction.
-func (a *analysis) aluXfer(in Insn, st state) Val {
+func (a *analysis) aluXfer(in Instruction, st state) absVal {
 	op := in.aluOp()
 	d := st.regs[in.Dst]
-	if in.class() == ClassALU {
+	if in.Class() == ClassALU {
 		// 32-bit ops compute on the low words and zero-extend,
 		// truncating pointers into scalars.
 		d32 := low32(scalarView(d))
-		var s32 Val
+		var s32 absVal
 		if in.usesRegSrc() {
 			s32 = low32(scalarView(st.regs[in.Src]))
 		} else {
@@ -618,11 +615,11 @@ func (a *analysis) aluXfer(in Insn, st state) Val {
 		return alu32Scalar(op, d32, s32)
 	}
 
-	var s Val
+	var s absVal
 	srcIsPtr := false
 	if in.usesRegSrc() {
 		s = st.regs[in.Src]
-		srcIsPtr = s.K != KindScalar
+		srcIsPtr = s.K != kindScalar
 	} else {
 		s = constVal(uint64(int64(in.Imm)))
 	}
@@ -639,7 +636,7 @@ func (a *analysis) aluXfer(in Insn, st state) Val {
 		}
 		return s
 	case OpAdd, OpSub:
-		if d.K == KindStackPtr && !srcIsPtr {
+		if d.K == kindStackPtr && !srcIsPtr {
 			// Pointer ± scalar keeps provenance; the variable part
 			// accumulates into the addend.
 			ad := addendOf(d)
@@ -648,7 +645,7 @@ func (a *analysis) aluXfer(in Insn, st state) Val {
 			} else {
 				ad = aSub(ad, s)
 			}
-			ad.K = KindStackPtr
+			ad.K = kindStackPtr
 			ad.Off = d.Off
 			return ad
 		}
@@ -657,7 +654,7 @@ func (a *analysis) aluXfer(in Insn, st state) Val {
 }
 
 // alu64Scalar is the 64-bit scalar transfer, mirroring aluOp64.
-func alu64Scalar(op uint8, d, s Val) Val {
+func alu64Scalar(op uint8, d, s absVal) absVal {
 	if dc, ok := d.IsConst(); ok {
 		if sc, ok2 := s.IsConst(); ok2 {
 			return constVal(concrete64(op, dc, sc))
@@ -694,48 +691,16 @@ func alu64Scalar(op uint8, d, s Val) Val {
 	return unknownScalar()
 }
 
-// concrete64 mirrors the interpreter's aluOp64 on two known values.
+// concrete64 is the interpreter's aluOp64 on two known values. Every
+// op the analysis accepts is one aluOp64 implements.
 func concrete64(op uint8, dst, src uint64) uint64 {
-	switch op {
-	case OpAdd:
-		return dst + src
-	case OpSub:
-		return dst - src
-	case OpMul:
-		return dst * src
-	case OpDiv:
-		if src == 0 {
-			return 0
-		}
-		return dst / src
-	case OpMod:
-		if src == 0 {
-			return dst
-		}
-		return dst % src
-	case OpAnd:
-		return dst & src
-	case OpOr:
-		return dst | src
-	case OpXor:
-		return dst ^ src
-	case OpLsh:
-		return dst << (src & 63)
-	case OpRsh:
-		return dst >> (src & 63)
-	case OpArsh:
-		return uint64(int64(dst) >> (src & 63))
-	case OpNeg:
-		return uint64(-int64(dst))
-	case OpMov:
-		return src
-	}
-	return 0
+	v, _ := aluOp64(op, dst, src)
+	return v
 }
 
 // alu32Scalar is the 32-bit transfer: operands are low32 views, the
 // result lands zero-extended in [0, 2^32), mirroring aluOp32.
-func alu32Scalar(op uint8, d, s Val) Val {
+func alu32Scalar(op uint8, d, s absVal) absVal {
 	if dc, ok := d.IsConst(); ok {
 		if sc, ok2 := s.IsConst(); ok2 {
 			return constVal(uint64(concrete32(op, uint32(dc), uint32(sc))))
@@ -776,56 +741,23 @@ func alu32Scalar(op uint8, d, s Val) Val {
 	return trunc32(unknownScalar())
 }
 
-// concrete32 mirrors the interpreter's aluOp32 on two known values.
+// concrete32 is the interpreter's aluOp32 on two known values.
 func concrete32(op uint8, dst, src uint32) uint32 {
-	switch op {
-	case OpAdd:
-		return dst + src
-	case OpSub:
-		return dst - src
-	case OpMul:
-		return dst * src
-	case OpDiv:
-		if src == 0 {
-			return 0
-		}
-		return dst / src
-	case OpMod:
-		if src == 0 {
-			return dst
-		}
-		return dst % src
-	case OpAnd:
-		return dst & src
-	case OpOr:
-		return dst | src
-	case OpXor:
-		return dst ^ src
-	case OpLsh:
-		return dst << (src & 31)
-	case OpRsh:
-		return dst >> (src & 31)
-	case OpArsh:
-		return uint32(int32(dst) >> (src & 31))
-	case OpNeg:
-		return uint32(-int32(dst))
-	case OpMov:
-		return src
-	}
-	return 0
+	v, _ := aluOp32(op, dst, src)
+	return v
 }
 
 // proveStackWindow proves a [off+min, off+max+size) byte window
 // through v lies inside the 512-byte frame for every concrete value
 // of v — the static counterpart of the runtime stackIndex check.
 // Returns "" when proven, else the reason.
-func proveStackWindow(v Val, off int64, size int) string {
+func proveStackWindow(v absVal, off int64, size int) string {
 	switch v.K {
-	case KindUninit:
+	case kindUninit:
 		return "memory access through uninitialized register"
-	case KindScalar:
+	case kindScalar:
 		return fmt.Sprintf("memory access through scalar register (value %s)", v)
-	case KindMapConst:
+	case kindMapConst:
 		return "memory access through a map reference"
 	}
 	ad := addendOf(v)

@@ -1,36 +1,40 @@
-package absint
+package ebpf
 
 import (
 	"strings"
 	"testing"
 )
 
-// Tiny instruction builders over the mirrored encoding.
-func mov64(dst uint8, imm int32) Insn { return Insn{Op: ClassALU64 | OpMov | SrcK, Dst: dst, Imm: imm} }
-func movr(dst, src uint8) Insn        { return Insn{Op: ClassALU64 | OpMov | SrcX, Dst: dst, Src: src} }
-func alu64(op, dst uint8, imm int32) Insn {
-	return Insn{Op: ClassALU64 | op | SrcK, Dst: dst, Imm: imm}
+// Tiny instruction builders.
+func mov64(dst Register, imm int32) Instruction {
+	return Instruction{Op: ClassALU64 | OpMov | SrcK, Dst: dst, Imm: imm}
 }
-func alu64r(op, dst, src uint8) Insn {
-	return Insn{Op: ClassALU64 | op | SrcX, Dst: dst, Src: src}
+func movr(dst, src Register) Instruction {
+	return Instruction{Op: ClassALU64 | OpMov | SrcX, Dst: dst, Src: src}
 }
-func jmp(op, dst uint8, imm int32, off int16) Insn {
-	return Insn{Op: ClassJMP | op | SrcK, Dst: dst, Imm: imm, Off: off}
+func alu64(op uint8, dst Register, imm int32) Instruction {
+	return Instruction{Op: ClassALU64 | op | SrcK, Dst: dst, Imm: imm}
 }
-func jmpr(op, dst, src uint8, off int16) Insn {
-	return Insn{Op: ClassJMP | op | SrcX, Dst: dst, Src: src, Off: off}
+func alu64r(op uint8, dst, src Register) Instruction {
+	return Instruction{Op: ClassALU64 | op | SrcX, Dst: dst, Src: src}
 }
-func stxdw(dst uint8, off int16, src uint8) Insn {
-	return Insn{Op: ClassSTX | ModeMEM | SizeDW, Dst: dst, Src: src, Off: off}
+func jmp(op uint8, dst Register, imm int32, off int16) Instruction {
+	return Instruction{Op: ClassJMP | op | SrcK, Dst: dst, Imm: imm, Off: off}
 }
-func exit() Insn { return Insn{Op: ClassJMP | OpExit} }
+func jmpr(op uint8, dst, src Register, off int16) Instruction {
+	return Instruction{Op: ClassJMP | op | SrcX, Dst: dst, Src: src, Off: off}
+}
+func stxdw(dst Register, off int16, src Register) Instruction {
+	return Instruction{Op: ClassSTX | ModeMEM | SizeDW, Dst: dst, Src: src, Off: off}
+}
+func exit() Instruction { return Instruction{Op: ClassJMP | OpExit} }
 
-func analyze(t *testing.T, insns []Insn) *Result {
+func analyze(t *testing.T, insns []Instruction) *AnalysisResult {
 	t.Helper()
-	return Analyze(insns, Opts{})
+	return analyzeInsns(insns, analysisOpts{})
 }
 
-func wantOK(t *testing.T, insns []Insn) *Result {
+func wantOK(t *testing.T, insns []Instruction) *AnalysisResult {
 	t.Helper()
 	r := analyze(t, insns)
 	if !r.OK {
@@ -39,7 +43,7 @@ func wantOK(t *testing.T, insns []Insn) *Result {
 	return r
 }
 
-func wantReject(t *testing.T, frag string, insns []Insn) *Result {
+func wantRejectInsns(t *testing.T, frag string, insns []Instruction) *AnalysisResult {
 	t.Helper()
 	r := analyze(t, insns)
 	if r.OK {
@@ -52,7 +56,7 @@ func wantReject(t *testing.T, frag string, insns []Insn) *Result {
 }
 
 func TestAnalyzeTrivial(t *testing.T) {
-	r := wantOK(t, []Insn{mov64(0, 7), exit()})
+	r := wantOK(t, []Instruction{mov64(0, 7), exit()})
 	if len(r.Branches) != 0 {
 		t.Fatalf("unexpected branch facts: %v", r.Branches)
 	}
@@ -60,7 +64,7 @@ func TestAnalyzeTrivial(t *testing.T) {
 
 func TestAnalyzeDeadFallEdge(t *testing.T) {
 	// r0 = 5; if r0 == 5 goto exit; r0 = 99 (dead); exit
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		mov64(0, 5),
 		jmp(OpJeq, 0, 5, 1),
 		mov64(0, 99),
@@ -85,7 +89,7 @@ func TestAnalyzeDeadFallEdge(t *testing.T) {
 
 func TestAnalyzeDeadTakenEdge(t *testing.T) {
 	// r0 = 3; if r0 > 5 goto +1 (never); exit; (dead) exit
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		mov64(0, 3),
 		jmp(OpJgt, 0, 5, 1),
 		exit(),
@@ -104,7 +108,7 @@ func TestAnalyzeDeadTakenEdge(t *testing.T) {
 // class: the only path into the garbage is infeasible, so the program
 // is safe even though the dead region could never verify.
 func TestAnalyzeDeadEdgeIntoInvalidCode(t *testing.T) {
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		mov64(0, 1),
 		jmp(OpJne, 0, 1, 1), // never taken
 		exit(),
@@ -114,7 +118,7 @@ func TestAnalyzeDeadEdgeIntoInvalidCode(t *testing.T) {
 		t.Fatal("garbage should be unreachable")
 	}
 	// Same shape, but with the edge feasible: must reject.
-	wantReject(t, "unsupported", []Insn{
+	wantRejectInsns(t, "unsupported", []Instruction{
 		mov64(0, 1),
 		jmp(OpJeq, 0, 1, 1),
 		exit(),
@@ -126,7 +130,7 @@ func TestAnalyzeDeadEdgeIntoInvalidCode(t *testing.T) {
 // of its back branch are live, so no instruction is dead.
 func TestAnalyzeBoundedLoop(t *testing.T) {
 	// r6 = 0; loop: r6 += 1; if r6 < 10 goto loop; r0 = r6; exit
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		mov64(6, 0),
 		alu64(OpAdd, 6, 1),
 		jmp(OpJlt, 6, 10, -2),
@@ -145,7 +149,7 @@ func TestAnalyzeBoundedLoop(t *testing.T) {
 
 func TestAnalyzeVariableOffsetStackAccess(t *testing.T) {
 	// r6 in [0, 63] proven by branch; store to fp-512+r6*8.
-	prog := []Insn{
+	prog := []Instruction{
 		mov64(0, 0),
 		mov64(6, 0),
 		// loop:
@@ -162,14 +166,14 @@ func TestAnalyzeVariableOffsetStackAccess(t *testing.T) {
 	wantOK(t, prog)
 	// One byte past the frame: the same program with 65 iterations
 	// writes through fp+8 and must be rejected.
-	bad := append([]Insn{}, prog...)
+	bad := append([]Instruction{}, prog...)
 	bad[9] = jmp(OpJlt, 6, 66, -8)
-	wantReject(t, "not provably in frame", bad)
+	wantRejectInsns(t, "not provably in frame", bad)
 }
 
 func TestAnalyzeUnboundedLoop(t *testing.T) {
 	// r6 = unknown (R1 at entry); loop: r6 += 1; if r6 != 0 goto loop
-	wantOK(t, []Insn{
+	wantOK(t, []Instruction{
 		mov64(0, 0),
 		movr(6, 1),
 		alu64(OpAdd, 6, 1),
@@ -181,7 +185,7 @@ func TestAnalyzeUnboundedLoop(t *testing.T) {
 func TestAnalyzeJmp32Feasibility(t *testing.T) {
 	// r0 = 0x1_0000_0005: the 64-bit value differs from 5, but JMP32
 	// compares the low word, so the branch is always taken.
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		{Op: ClassLD | ModeIMM | SizeDW, Dst: 0, Imm: 5},
 		{Imm: 1}, // upper half = 1
 		{Op: ClassJMP32 | OpJeq | SrcK, Dst: 0, Imm: 5, Off: 1},
@@ -193,7 +197,7 @@ func TestAnalyzeJmp32Feasibility(t *testing.T) {
 		t.Fatalf("branch facts = %+v, want fall-dead at pc 2 (JMP32 compares low words)", r.Branches)
 	}
 	// The 64-bit comparison on the same program must go the other way.
-	r = wantOK(t, []Insn{
+	r = wantOK(t, []Instruction{
 		{Op: ClassLD | ModeIMM | SizeDW, Dst: 0, Imm: 5},
 		{Imm: 1},
 		jmp(OpJeq, 0, 5, 1),
@@ -207,7 +211,7 @@ func TestAnalyzeJmp32Feasibility(t *testing.T) {
 
 func TestAnalyzeJsetRefinement(t *testing.T) {
 	// r1 unknown; if r1 & 0x10 goto set; r0=0; exit; set: r0=1; exit
-	r := wantOK(t, []Insn{
+	r := wantOK(t, []Instruction{
 		jmp(OpJset, 1, 0x10, 2),
 		mov64(0, 0),
 		exit(),
@@ -218,7 +222,7 @@ func TestAnalyzeJsetRefinement(t *testing.T) {
 		t.Fatalf("no dead edges expected: %v", r.Branches)
 	}
 	// With the bit known zero the taken edge dies.
-	r = wantOK(t, []Insn{
+	r = wantOK(t, []Instruction{
 		mov64(1, 0x0f),
 		jmp(OpJset, 1, 0x10, 2),
 		mov64(0, 0),
@@ -234,44 +238,44 @@ func TestAnalyzeJsetRefinement(t *testing.T) {
 func TestAnalyzeRejections(t *testing.T) {
 	cases := []struct {
 		name, frag string
-		insns      []Insn
+		insns      []Instruction
 	}{
 		{"empty", "empty program", nil},
-		{"uninit-read", "uninitialized register", []Insn{movr(0, 6), exit()}},
-		{"r0-at-exit", "R0 not initialized", []Insn{exit()}},
-		{"bad-register", "bad register", []Insn{mov64(12, 0), exit()}},
-		{"bad-src-register", "bad register", []Insn{
+		{"uninit-read", "uninitialized register", []Instruction{movr(0, 6), exit()}},
+		{"r0-at-exit", "R0 not initialized", []Instruction{exit()}},
+		{"bad-register", "bad register", []Instruction{mov64(12, 0), exit()}},
+		{"bad-src-register", "bad register", []Instruction{
 			{Op: ClassALU64 | OpMov | SrcX, Dst: 0, Src: 14}, exit()}},
-		{"write-fp", "read-only", []Insn{mov64(10, 0), exit()}},
-		{"div-zero-imm", "division by zero", []Insn{mov64(0, 1), alu64(OpDiv, 0, 0), exit()}},
-		{"falls-off", "falls off", []Insn{mov64(0, 0)}},
-		{"jump-off-program", "falls off", []Insn{mov64(0, 0), jmp(OpJeq, 1, 0, 40), exit()}},
-		{"scalar-deref", "scalar register", []Insn{mov64(1, 8), stxdw(1, 0, 1), mov64(0, 0), exit()}},
-		{"oob-store", "not provably in frame", []Insn{stxdw(10, -520, 10), mov64(0, 0), exit()}},
-		{"unknown-helper", "unknown helper", []Insn{
+		{"write-fp", "read-only", []Instruction{mov64(10, 0), exit()}},
+		{"div-zero-imm", "division by zero", []Instruction{mov64(0, 1), alu64(OpDiv, 0, 0), exit()}},
+		{"falls-off", "falls off", []Instruction{mov64(0, 0)}},
+		{"jump-off-program", "falls off", []Instruction{mov64(0, 0), jmp(OpJeq, 1, 0, 40), exit()}},
+		{"scalar-deref", "scalar register", []Instruction{mov64(1, 8), stxdw(1, 0, 1), mov64(0, 0), exit()}},
+		{"oob-store", "not provably in frame", []Instruction{stxdw(10, -520, 10), mov64(0, 0), exit()}},
+		{"unknown-helper", "unknown helper", []Instruction{
 			{Op: ClassJMP | OpCall, Imm: 99}, mov64(0, 0), exit()}},
-		{"jmp32-exit", "64-bit JMP class", []Insn{
+		{"jmp32-exit", "64-bit JMP class", []Instruction{
 			mov64(0, 0), {Op: ClassJMP32 | OpExit}}},
-		{"store-uninit", "store of uninitialized", []Insn{stxdw(10, -8, 6), mov64(0, 0), exit()}},
-		{"jump-into-lddw", "upper half", []Insn{
+		{"store-uninit", "store of uninitialized", []Instruction{stxdw(10, -8, 6), mov64(0, 0), exit()}},
+		{"jump-into-lddw", "upper half", []Instruction{
 			{Op: ClassJMP | OpJa, Off: 1},
 			{Op: ClassLD | ModeIMM | SizeDW, Dst: 0, Imm: 5},
 			{Imm: 0},
 			exit(),
 		}},
-		{"truncated-lddw", "truncated lddw", []Insn{
+		{"truncated-lddw", "truncated lddw", []Instruction{
 			mov64(0, 0), {Op: ClassLD | ModeIMM | SizeDW, Dst: 0, Imm: 5}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantReject(t, tc.frag, tc.insns)
+			wantRejectInsns(t, tc.frag, tc.insns)
 		})
 	}
 }
 
 func TestAnalyzeUnboundedScalarDerefReported(t *testing.T) {
 	// fp + unbounded scalar: the pointer survives, the access must not.
-	r := wantReject(t, "not provably in frame", []Insn{
+	r := wantRejectInsns(t, "not provably in frame", []Instruction{
 		movr(3, 10),
 		alu64r(OpAdd, 3, 1), // r1 unknown at entry
 		stxdw(3, -8, 10),
@@ -290,7 +294,7 @@ func TestAnalyzeUnboundedScalarDerefReported(t *testing.T) {
 }
 
 func TestAnalyzeMapHelperDiscipline(t *testing.T) {
-	opts := Opts{
+	opts := analysisOpts{
 		ValidMapFD:  func(fd int64) bool { return fd == 3 },
 		KnownHelper: func(id int32) bool { return id == 1 || id == 5 },
 		MapHelper: func(id int32) (int, bool) {
@@ -300,7 +304,7 @@ func TestAnalyzeMapHelperDiscipline(t *testing.T) {
 			return 0, false
 		},
 	}
-	good := []Insn{
+	good := []Instruction{
 		mov64(1, 3), // map fd
 		movr(2, 10),
 		alu64(OpAdd, 2, -8),
@@ -312,27 +316,27 @@ func TestAnalyzeMapHelperDiscipline(t *testing.T) {
 		mov64(0, 0),
 		exit(),
 	}
-	if r := Analyze(good, opts); !r.OK {
+	if r := analyzeInsns(good, opts); !r.OK {
 		t.Fatalf("good map call rejected: %v", r.Err)
 	}
 	// Scalar in R1 instead of a map reference.
-	bad := append([]Insn{}, good...)
+	bad := append([]Instruction{}, good...)
 	bad[0] = mov64(1, 4) // not a registered fd
-	if r := Analyze(bad, opts); r.OK {
+	if r := analyzeInsns(bad, opts); r.OK {
 		t.Fatal("map helper with non-map R1 accepted")
 	} else if !strings.Contains(r.Err.Msg, "map reference in R1") {
 		t.Fatalf("unexpected error: %v", r.Err)
 	}
 	// Key pointer not provably in frame.
-	bad2 := append([]Insn{}, good...)
+	bad2 := append([]Instruction{}, good...)
 	bad2[2] = alu64(OpAdd, 2, 8)
-	if r := Analyze(bad2, opts); r.OK {
+	if r := analyzeInsns(bad2, opts); r.OK {
 		t.Fatal("map helper with out-of-frame key accepted")
 	}
 	// Args are dead after the call.
-	postRead := append(append([]Insn{}, good[:8]...),
+	postRead := append(append([]Instruction{}, good[:8]...),
 		movr(0, 2), exit())
-	if r := Analyze(postRead, opts); r.OK {
+	if r := analyzeInsns(postRead, opts); r.OK {
 		t.Fatal("read of clobbered arg register accepted")
 	}
 }
@@ -340,7 +344,7 @@ func TestAnalyzeMapHelperDiscipline(t *testing.T) {
 func TestAnalyzeWideningConverges(t *testing.T) {
 	// A loop whose induction variable never stabilizes without
 	// widening (grows by 3 each round, bounded only by the budget).
-	wantOK(t, []Insn{
+	wantOK(t, []Instruction{
 		mov64(0, 0),
 		mov64(6, 0),
 		alu64(OpAdd, 6, 3),
@@ -350,24 +354,24 @@ func TestAnalyzeWideningConverges(t *testing.T) {
 }
 
 func TestAnalyzePoisonedArgsAfterCall(t *testing.T) {
-	opts := Opts{KnownHelper: func(id int32) bool { return id == 5 }}
+	opts := analysisOpts{KnownHelper: func(id int32) bool { return id == 5 }}
 	// R6 survives the call, R1 does not.
-	ok := []Insn{
+	ok := []Instruction{
 		mov64(6, 9),
 		{Op: ClassJMP | OpCall, Imm: 5},
 		movr(0, 6),
 		exit(),
 	}
-	if r := Analyze(ok, opts); !r.OK {
+	if r := analyzeInsns(ok, opts); !r.OK {
 		t.Fatalf("callee-saved read rejected: %v", r.Err)
 	}
-	bad := []Insn{
+	bad := []Instruction{
 		mov64(1, 9),
 		{Op: ClassJMP | OpCall, Imm: 5},
 		movr(0, 1),
 		exit(),
 	}
-	if r := Analyze(bad, opts); r.OK {
+	if r := analyzeInsns(bad, opts); r.OK {
 		t.Fatal("caller-clobbered read accepted")
 	}
 }

@@ -1,10 +1,9 @@
 // Differential soundness fuzzing for the abstract interpreter. The
-// fuzz target lives in an external test package so it can drive the
-// full ebpf VM (which imports absint) against the analysis results:
-// any divergence between what the analysis claims (dead edges,
-// accepted programs) and what the interpreter actually does is
-// a crash, not a flaky finding.
-package absint_test
+// fuzz target drives the full ebpf VM through its exported API
+// against the analysis results: any divergence between what the
+// analysis claims (dead edges, accepted programs) and what the
+// interpreter actually does is a crash, not a flaky finding.
+package ebpf_test
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package absint
+package ebpf
 
 // Branch feasibility and refinement, modelled on the kernel's
 // reg_set_min_max: given the two operand abstractions of a
@@ -8,21 +8,21 @@ package absint
 
 // intersectVal narrows a to values also represented by b. The second
 // return is false when the intersection is empty.
-func intersectVal(a, b Val) (Val, bool) {
+func intersectVal(a, b absVal) (absVal, bool) {
 	tn, ok := a.TN.Intersect(b.TN)
 	if !ok {
-		return Val{}, false
+		return absVal{}, false
 	}
-	r := Val{
-		K: KindScalar, TN: tn,
+	r := absVal{
+		K: kindScalar, TN: tn,
 		Umin: max(a.Umin, b.Umin), Umax: min(a.Umax, b.Umax),
 		Smin: max(a.Smin, b.Smin), Smax: min(a.Smax, b.Smax),
 	}
 	if r.Umin > r.Umax || r.Smin > r.Smax {
-		return Val{}, false
+		return absVal{}, false
 	}
 	if !r.sync() {
-		return Val{}, false
+		return absVal{}, false
 	}
 	return r, true
 }
@@ -62,7 +62,7 @@ func canonCond(op uint8, taken bool) (uint8, bool) {
 // given edge of a conditional jump, or feasible=false when no
 // concrete operand pair can take that edge. negated covers the
 // fall-through edge of JSET, which has no canonical opcode.
-func refineCond(op uint8, d, s Val, taken bool) (d2, s2 Val, feasible bool) {
+func refineCond(op uint8, d, s absVal, taken bool) (d2, s2 absVal, feasible bool) {
 	cond, direct := canonCond(op, taken)
 	if !direct {
 		return refineNotSet(d, s)
@@ -172,7 +172,7 @@ func refineCond(op uint8, d, s Val, taken bool) (d2, s2 Val, feasible bool) {
 }
 
 // refineNotSet handles the fall-through edge of JSET: d & s == 0.
-func refineNotSet(d, s Val) (Val, Val, bool) {
+func refineNotSet(d, s absVal) (absVal, absVal, bool) {
 	if d.TN.Value&s.TN.Value != 0 {
 		return d, s, false // a bit known set in both is always set in d&s
 	}
@@ -189,7 +189,7 @@ func refineNotSet(d, s Val) (Val, Val, bool) {
 }
 
 // trimNe shaves a constant other operand off a's interval endpoints.
-func trimNe(a, other Val) Val {
+func trimNe(a, other absVal) absVal {
 	c, ok := other.IsConst()
 	if !ok {
 		return a

@@ -1,4 +1,4 @@
-package absint_test
+package ebpf_test
 
 import "snapbpf/internal/ebpf"
 

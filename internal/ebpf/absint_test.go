@@ -3,75 +3,7 @@ package ebpf
 import (
 	"strings"
 	"testing"
-
-	"snapbpf/internal/ebpf/absint"
 )
-
-// The abstract interpreter mirrors this package's ISA encoding and
-// machine limits in its own constant set (it cannot import ebpf — the
-// dependency points the other way). This test pins the mirror: a
-// drift in either package fails loudly instead of silently analyzing
-// a different machine.
-func TestAbsintConstsMatch(t *testing.T) {
-	pairs := []struct {
-		name       string
-		ebpf, abst int64
-	}{
-		{"ClassLD", int64(ClassLD), int64(absint.ClassLD)},
-		{"ClassLDX", int64(ClassLDX), int64(absint.ClassLDX)},
-		{"ClassST", int64(ClassST), int64(absint.ClassST)},
-		{"ClassSTX", int64(ClassSTX), int64(absint.ClassSTX)},
-		{"ClassALU", int64(ClassALU), int64(absint.ClassALU)},
-		{"ClassJMP", int64(ClassJMP), int64(absint.ClassJMP)},
-		{"ClassJMP32", int64(ClassJMP32), int64(absint.ClassJMP32)},
-		{"ClassALU64", int64(ClassALU64), int64(absint.ClassALU64)},
-		{"SizeW", int64(SizeW), int64(absint.SizeW)},
-		{"SizeH", int64(SizeH), int64(absint.SizeH)},
-		{"SizeB", int64(SizeB), int64(absint.SizeB)},
-		{"SizeDW", int64(SizeDW), int64(absint.SizeDW)},
-		{"ModeIMM", int64(ModeIMM), int64(absint.ModeIMM)},
-		{"ModeMEM", int64(ModeMEM), int64(absint.ModeMEM)},
-		{"SrcK", int64(SrcK), int64(absint.SrcK)},
-		{"SrcX", int64(SrcX), int64(absint.SrcX)},
-		{"OpAdd", int64(OpAdd), int64(absint.OpAdd)},
-		{"OpSub", int64(OpSub), int64(absint.OpSub)},
-		{"OpMul", int64(OpMul), int64(absint.OpMul)},
-		{"OpDiv", int64(OpDiv), int64(absint.OpDiv)},
-		{"OpOr", int64(OpOr), int64(absint.OpOr)},
-		{"OpAnd", int64(OpAnd), int64(absint.OpAnd)},
-		{"OpLsh", int64(OpLsh), int64(absint.OpLsh)},
-		{"OpRsh", int64(OpRsh), int64(absint.OpRsh)},
-		{"OpNeg", int64(OpNeg), int64(absint.OpNeg)},
-		{"OpMod", int64(OpMod), int64(absint.OpMod)},
-		{"OpXor", int64(OpXor), int64(absint.OpXor)},
-		{"OpMov", int64(OpMov), int64(absint.OpMov)},
-		{"OpArsh", int64(OpArsh), int64(absint.OpArsh)},
-		{"OpJa", int64(OpJa), int64(absint.OpJa)},
-		{"OpJeq", int64(OpJeq), int64(absint.OpJeq)},
-		{"OpJgt", int64(OpJgt), int64(absint.OpJgt)},
-		{"OpJge", int64(OpJge), int64(absint.OpJge)},
-		{"OpJset", int64(OpJset), int64(absint.OpJset)},
-		{"OpJne", int64(OpJne), int64(absint.OpJne)},
-		{"OpJsgt", int64(OpJsgt), int64(absint.OpJsgt)},
-		{"OpJsge", int64(OpJsge), int64(absint.OpJsge)},
-		{"OpCall", int64(OpCall), int64(absint.OpCall)},
-		{"OpExit", int64(OpExit), int64(absint.OpExit)},
-		{"OpJlt", int64(OpJlt), int64(absint.OpJlt)},
-		{"OpJle", int64(OpJle), int64(absint.OpJle)},
-		{"OpJslt", int64(OpJslt), int64(absint.OpJslt)},
-		{"OpJsle", int64(OpJsle), int64(absint.OpJsle)},
-		{"OpLdImm64", int64(OpLdImm64), int64(absint.OpLdImm64)},
-		{"NumRegisters", int64(numRegisters), int64(absint.NumRegisters)},
-		{"RegFP", int64(R10), int64(absint.RegFP)},
-		{"StackSize", int64(StackSize), int64(absint.StackSize)},
-		{"MaxProgramLen", int64(MaxProgramLen), int64(absint.MaxProgramLen)},
-	}
-	for _, p := range pairs {
-		if p.ebpf != p.abst {
-			t.Errorf("%s: ebpf %#x != absint %#x", p.name, p.ebpf, p.abst)
-		}
-	}
-}
 
 // evictionScanProgram is the headline program class the analysis
 // unlocks: a bounded loop writing every slot of the frame through a
@@ -218,7 +150,6 @@ func TestInterpBranches(t *testing.T) {
 	}
 	vm := NewVM()
 	p := &Program{Name: "hook", insns: insns, vm: vm, Enabled: true}
-	p.dec = decodeProgram(insns, vm)
 	type edge struct {
 		pc    int
 		taken bool

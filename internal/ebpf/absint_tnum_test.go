@@ -1,4 +1,4 @@
-package absint
+package ebpf
 
 import (
 	"math/rand"
@@ -7,13 +7,13 @@ import (
 
 // enumTnums lists every tnum over the low `bits` bits (value/mask
 // pairs with value&mask == 0).
-func enumTnums(bits uint) []Tnum {
-	var out []Tnum
+func enumTnums(bits uint) []tnum {
+	var out []tnum
 	n := uint64(1) << bits
 	for m := uint64(0); m < n; m++ {
 		for v := uint64(0); v < n; v++ {
 			if v&m == 0 {
-				out = append(out, Tnum{Value: v, Mask: m})
+				out = append(out, tnum{Value: v, Mask: m})
 			}
 		}
 	}
@@ -21,7 +21,7 @@ func enumTnums(bits uint) []Tnum {
 }
 
 // concretize lists every concrete value a small tnum represents.
-func concretize(t Tnum) []uint64 {
+func concretize(t tnum) []uint64 {
 	vals := []uint64{t.Value}
 	for b := 0; b < 64; b++ {
 		bit := uint64(1) << b
@@ -41,15 +41,15 @@ func TestTnumBinaryOpsSound(t *testing.T) {
 	tnums := enumTnums(4)
 	ops := []struct {
 		name string
-		abs  func(a, b Tnum) Tnum
+		abs  func(a, b tnum) tnum
 		conc func(a, b uint64) uint64
 	}{
-		{"add", Tnum.Add, func(a, b uint64) uint64 { return a + b }},
-		{"sub", Tnum.Sub, func(a, b uint64) uint64 { return a - b }},
-		{"and", Tnum.And, func(a, b uint64) uint64 { return a & b }},
-		{"or", Tnum.Or, func(a, b uint64) uint64 { return a | b }},
-		{"xor", Tnum.Xor, func(a, b uint64) uint64 { return a ^ b }},
-		{"mul", Tnum.Mul, func(a, b uint64) uint64 { return a * b }},
+		{"add", tnum.Add, func(a, b uint64) uint64 { return a + b }},
+		{"sub", tnum.Sub, func(a, b uint64) uint64 { return a - b }},
+		{"and", tnum.And, func(a, b uint64) uint64 { return a & b }},
+		{"or", tnum.Or, func(a, b uint64) uint64 { return a | b }},
+		{"xor", tnum.Xor, func(a, b uint64) uint64 { return a ^ b }},
+		{"mul", tnum.Mul, func(a, b uint64) uint64 { return a * b }},
 	}
 	for _, op := range ops {
 		for _, ta := range tnums {
@@ -76,7 +76,7 @@ func TestTnumShiftsSound(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		v := rng.Uint64()
 		m := rng.Uint64() &^ v
-		tn := Tnum{Value: v &^ m, Mask: m}
+		tn := tnum{Value: v &^ m, Mask: m}
 		n := uint(rng.Intn(64))
 		for _, c := range []uint64{tn.Value, tn.Value | tn.Mask} {
 			if !tn.Lsh(n).Contains(c << n) {
@@ -97,16 +97,16 @@ func TestTnumShiftsSound(t *testing.T) {
 func TestTnumRangeSound(t *testing.T) {
 	for min := uint64(0); min < 64; min++ {
 		for max := min; max < 64; max++ {
-			tn := TnumRange(min, max)
+			tn := tnumRange(min, max)
 			for v := min; v <= max; v++ {
 				if !tn.Contains(v) {
-					t.Fatalf("TnumRange(%d,%d) = %v misses %d", min, max, tn, v)
+					t.Fatalf("tnumRange(%d,%d) = %v misses %d", min, max, tn, v)
 				}
 			}
 		}
 	}
 	// The extremes must not overflow the bit-width computation.
-	if tn := TnumRange(0, ^uint64(0)); tn != tnumUnknown {
+	if tn := tnumRange(0, ^uint64(0)); tn != tnumUnknown {
 		t.Fatalf("full range should be unknown, got %v", tn)
 	}
 }
@@ -148,7 +148,7 @@ func TestTnumIntersectUnion(t *testing.T) {
 }
 
 func TestTnumCastIn(t *testing.T) {
-	tn := Tnum{Value: 0x1_0000_00f0, Mask: 0x0f}
+	tn := tnum{Value: 0x1_0000_00f0, Mask: 0x0f}
 	c := tn.Cast(4)
 	if c.Value != 0xf0 || c.Mask != 0x0f {
 		t.Fatalf("Cast(4) = %v", c)
@@ -159,7 +159,7 @@ func TestTnumCastIn(t *testing.T) {
 	if tn.In(tnumUnknown) {
 		t.Fatal("a constrained tnum cannot contain unknown")
 	}
-	if !TnumConst(5).In(TnumConst(5)) || TnumConst(5).In(TnumConst(6)) {
+	if !tnumConst(5).In(tnumConst(5)) || tnumConst(5).In(tnumConst(6)) {
 		t.Fatal("const In misbehaves")
 	}
 }

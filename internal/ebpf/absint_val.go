@@ -1,4 +1,4 @@
-package absint
+package ebpf
 
 import (
 	"fmt"
@@ -6,84 +6,80 @@ import (
 	"math/bits"
 )
 
-// Kind is the provenance of an abstract register value, mirroring the
+// valKind is the provenance of an abstract register value, mirroring the
 // kernel's reg type, with the scalar kind carrying full tnum +
 // interval facts.
-type Kind uint8
+type valKind uint8
 
 const (
-	KindUninit Kind = iota
-	KindScalar
-	KindStackPtr
-	KindMapConst
+	kindUninit valKind = iota
+	kindScalar
+	kindStackPtr
+	kindMapConst
 )
 
-func (k Kind) String() string {
+func (k valKind) String() string {
 	switch k {
-	case KindUninit:
+	case kindUninit:
 		return "uninit"
-	case KindScalar:
+	case kindScalar:
 		return "scalar"
-	case KindStackPtr:
+	case kindStackPtr:
 		return "fp"
-	case KindMapConst:
+	case kindMapConst:
 		return "map"
 	}
 	return "?"
 }
 
-// stackTopAddr mirrors the VM's virtual frame-pointer value; pinned
-// against internal/ebpf by TestAbsintConstsMatch.
-const stackTopAddr uint64 = 0x7fff_f000
-
-// Val is the abstract value of one register.
+// absVal is the abstract value of one register.
 //
-// For KindScalar the tnum and the interval bounds describe the
-// register's 64-bit value. For KindStackPtr they describe the
+// For kindScalar the tnum and the interval bounds describe the
+// register's 64-bit value. For kindStackPtr they describe the
 // *variable addend*: the concrete value is stackTop + Off + addend,
 // which keeps pointer arithmetic with a loop induction variable (fp +
-// i*8) provable. KindMapConst is the constant fd in Off (its concrete
+// i*8) provable. kindMapConst is the constant fd in Off (its concrete
 // runtime value), the analogue of the kernel's CONST_PTR_TO_MAP.
-type Val struct {
-	K          Kind
-	TN         Tnum
+type absVal struct {
+	K          valKind
+	TN         tnum
 	Umin, Umax uint64
 	Smin, Smax int64
 	// Off is the constant byte offset from the frame pointer
-	// (KindStackPtr) or the map fd (KindMapConst).
+	// (kindStackPtr) or the map fd (kindMapConst).
 	Off int64
 }
 
-func uninitVal() Val { return Val{K: KindUninit} }
+func uninitVal() absVal { return absVal{K: kindUninit} }
 
-func unknownScalar() Val {
-	return Val{
-		K: KindScalar, TN: tnumUnknown,
+func unknownScalar() absVal {
+	return absVal{
+		K: kindScalar, TN: tnumUnknown,
 		Umin: 0, Umax: ^uint64(0),
 		Smin: math.MinInt64, Smax: math.MaxInt64,
 	}
 }
 
-func constVal(c uint64) Val {
-	return Val{
-		K: KindScalar, TN: TnumConst(c),
+func constVal(c uint64) absVal {
+	return absVal{
+		K: kindScalar, TN: tnumConst(c),
 		Umin: c, Umax: c,
 		Smin: int64(c), Smax: int64(c),
 	}
 }
 
-func stackPtrVal(off int64) Val {
+func stackPtrVal(off int64) absVal {
 	v := constVal(0)
-	v.K = KindStackPtr
+	v.K = kindStackPtr
 	v.Off = off
 	return v
 }
 
-func mapConstVal(fd int64) Val { return Val{K: KindMapConst, Off: fd} }
+func mapConstVal(fd int64) absVal { return absVal{K: kindMapConst, Off: fd} }
 
 // IsConst reports whether v is a scalar with exactly one value.
-func (v Val) IsConst() (uint64, bool) {
-	if v.K == KindScalar && v.Umin == v.Umax {
+func (v absVal) IsConst() (uint64, bool) {
+	if v.K == kindScalar && v.Umin == v.Umax {
 		return v.Umin, true
 	}
 	return 0, false
@@ -95,9 +91,9 @@ func (v Val) IsConst() (uint64, bool) {
 // one side of the 2^63 boundary. Returns false when the facts are
 // contradictory (the value set is empty) — meaningful during branch
 // refinement, impossible for sound transfer functions.
-func (v *Val) sync() bool {
+func (v *absVal) sync() bool {
 	for i := 0; i < 3; i++ {
-		tn, ok := v.TN.Intersect(TnumRange(v.Umin, v.Umax))
+		tn, ok := v.TN.Intersect(tnumRange(v.Umin, v.Umax))
 		if !ok {
 			return false
 		}
@@ -141,7 +137,7 @@ func (v *Val) sync() bool {
 
 // norm is sync for transfer-function results: a contradiction there
 // can only come from imprecision interplay, so fall back to unknown.
-func norm(v Val) Val {
+func norm(v absVal) absVal {
 	if !v.sync() {
 		return unknownScalar()
 	}
@@ -152,16 +148,16 @@ func norm(v Val) Val {
 // value, whatever its provenance: pointers become their virtual
 // address range, map references their fd. Sound because every
 // comparison and every ALU demotion operates on the concrete bits.
-func scalarView(v Val) Val {
+func scalarView(v absVal) absVal {
 	switch v.K {
-	case KindScalar:
+	case kindScalar:
 		return v
-	case KindMapConst:
+	case kindMapConst:
 		return constVal(uint64(v.Off))
-	case KindStackPtr:
-		base := stackTopAddr + uint64(v.Off)
+	case kindStackPtr:
+		base := stackTop + uint64(v.Off)
 		a := v
-		a.K = KindScalar
+		a.K = kindScalar
 		a.Off = 0
 		return aAdd(a, constVal(base))
 	}
@@ -171,22 +167,22 @@ func scalarView(v Val) Val {
 }
 
 // addendOf extracts a stack pointer's variable addend as a scalar.
-func addendOf(v Val) Val {
+func addendOf(v absVal) absVal {
 	a := v
-	a.K = KindScalar
+	a.K = kindScalar
 	a.Off = 0
 	return a
 }
 
 // joinVal is the lattice join at control-flow merge points.
-func joinVal(a, b Val) Val {
+func joinVal(a, b absVal) absVal {
 	if a == b {
 		return a
 	}
-	if a.K == KindUninit || b.K == KindUninit {
+	if a.K == kindUninit || b.K == kindUninit {
 		return uninitVal()
 	}
-	if a.K == KindStackPtr && b.K == KindStackPtr {
+	if a.K == kindStackPtr && b.K == kindStackPtr {
 		// Rebase b onto a's fixed offset and join the addends, so
 		// loop-carried pointers keep their provenance.
 		bAdd := addendOf(b)
@@ -194,18 +190,18 @@ func joinVal(a, b Val) Val {
 			bAdd = aAdd(bAdd, constVal(uint64(d)))
 		}
 		j := joinScalar(addendOf(a), bAdd)
-		j.K = KindStackPtr
+		j.K = kindStackPtr
 		j.Off = a.Off
 		return j
 	}
-	if a.K == KindMapConst && b.K == KindMapConst && a.Off == b.Off {
+	if a.K == kindMapConst && b.K == kindMapConst && a.Off == b.Off {
 		return a
 	}
 	return joinScalar(scalarView(a), scalarView(b))
 }
 
-func joinScalar(a, b Val) Val {
-	r := Val{K: KindScalar}
+func joinScalar(a, b absVal) absVal {
+	r := absVal{K: kindScalar}
 	r.TN = a.TN.Union(b.TN)
 	r.Umin = min(a.Umin, b.Umin)
 	r.Umax = max(a.Umax, b.Umax)
@@ -217,8 +213,8 @@ func joinScalar(a, b Val) Val {
 // widen discards any interval bound that moved since prev, keeping
 // only the tnum (which converges by itself: its mask can only grow,
 // 64 steps at most). Called after a join point keeps changing.
-func widen(prev, next Val) Val {
-	if next.K != KindScalar && next.K != KindStackPtr {
+func widen(prev, next absVal) absVal {
+	if next.K != kindScalar && next.K != kindStackPtr {
 		return next
 	}
 	if prev.K != next.K || prev.Off != next.Off {
@@ -239,13 +235,13 @@ func widen(prev, next Val) Val {
 	return norm(next)
 }
 
-func (v Val) String() string {
+func (v absVal) String() string {
 	switch v.K {
-	case KindUninit:
+	case kindUninit:
 		return "uninit"
-	case KindMapConst:
+	case kindMapConst:
 		return fmt.Sprintf("map(fd=%d)", v.Off)
-	case KindStackPtr:
+	case kindStackPtr:
 		a := addendOf(v)
 		if c, ok := a.IsConst(); ok {
 			return fmt.Sprintf("fp%+d", v.Off+int64(c))
@@ -255,7 +251,7 @@ func (v Val) String() string {
 	return v.boundsString()
 }
 
-func (v Val) boundsString() string {
+func (v absVal) boundsString() string {
 	if c, ok := v.IsConst(); ok {
 		return fmt.Sprintf("%d", int64(c))
 	}
@@ -303,8 +299,8 @@ func subS(a, b int64) (int64, bool) {
 	return s, true
 }
 
-func aAdd(a, b Val) Val {
-	r := Val{K: KindScalar}
+func aAdd(a, b absVal) absVal {
+	r := absVal{K: kindScalar}
 	r.TN = a.TN.Add(b.TN)
 	if hi, c := bits.Add64(a.Umax, b.Umax, 0); c == 0 {
 		r.Umin = a.Umin + b.Umin
@@ -322,8 +318,8 @@ func aAdd(a, b Val) Val {
 	return norm(r)
 }
 
-func aSub(a, b Val) Val {
-	r := Val{K: KindScalar}
+func aSub(a, b absVal) absVal {
+	r := absVal{K: kindScalar}
 	r.TN = a.TN.Sub(b.TN)
 	if a.Umin >= b.Umax {
 		r.Umin = a.Umin - b.Umax
@@ -341,7 +337,7 @@ func aSub(a, b Val) Val {
 	return norm(r)
 }
 
-func aMul(a, b Val) Val {
+func aMul(a, b absVal) absVal {
 	r := unknownScalar()
 	r.TN = a.TN.Mul(b.TN)
 	if hi, _ := bits.Mul64(a.Umax, b.Umax); hi == 0 {
@@ -353,7 +349,7 @@ func aMul(a, b Val) Val {
 }
 
 // aDiv models unsigned division with the kernel's x/0 == 0 rule.
-func aDiv(a, b Val) Val {
+func aDiv(a, b absVal) absVal {
 	r := unknownScalar()
 	r.TN = tnumUnknown
 	r.Umin = 0
@@ -369,7 +365,7 @@ func aDiv(a, b Val) Val {
 
 // aMod models unsigned modulo with the kernel's dst-unchanged-on-zero
 // rule.
-func aMod(a, b Val) Val {
+func aMod(a, b absVal) absVal {
 	r := unknownScalar()
 	var hi uint64
 	if b.Umax > 0 {
@@ -384,29 +380,29 @@ func aMod(a, b Val) Val {
 	return norm(r)
 }
 
-func aAnd(a, b Val) Val {
+func aAnd(a, b absVal) absVal {
 	r := unknownScalar()
 	r.TN = a.TN.And(b.TN)
 	r.Umax = min(a.Umax, b.Umax)
 	return norm(r)
 }
 
-func aOr(a, b Val) Val {
+func aOr(a, b absVal) absVal {
 	r := unknownScalar()
 	r.TN = a.TN.Or(b.TN)
 	return norm(r)
 }
 
-func aXor(a, b Val) Val {
+func aXor(a, b absVal) absVal {
 	r := unknownScalar()
 	r.TN = a.TN.Xor(b.TN)
 	return norm(r)
 }
 
-func aLsh(a, b Val) Val {
+func aLsh(a, b absVal) absVal {
 	if c, ok := b.IsConst(); ok {
 		n := uint(c & 63)
-		r := Val{K: KindScalar, TN: a.TN.Lsh(n)}
+		r := absVal{K: kindScalar, TN: a.TN.Lsh(n)}
 		if a.Umax <= (^uint64(0))>>n {
 			r.Umin = a.Umin << n
 			r.Umax = a.Umax << n
@@ -419,10 +415,10 @@ func aLsh(a, b Val) Val {
 	return unknownScalar()
 }
 
-func aRsh(a, b Val) Val {
+func aRsh(a, b absVal) absVal {
 	if c, ok := b.IsConst(); ok {
 		n := uint(c & 63)
-		r := Val{K: KindScalar, TN: a.TN.Rsh(n)}
+		r := absVal{K: kindScalar, TN: a.TN.Rsh(n)}
 		r.Umin = a.Umin >> n
 		r.Umax = a.Umax >> n
 		r.Smin, r.Smax = math.MinInt64, math.MaxInt64
@@ -431,10 +427,10 @@ func aRsh(a, b Val) Val {
 	return unknownScalar()
 }
 
-func aArsh(a, b Val) Val {
+func aArsh(a, b absVal) absVal {
 	if c, ok := b.IsConst(); ok {
 		n := uint(c & 63)
-		r := Val{K: KindScalar, TN: a.TN.Arsh(n)}
+		r := absVal{K: kindScalar, TN: a.TN.Arsh(n)}
 		r.Smin = a.Smin >> n
 		r.Smax = a.Smax >> n
 		r.Umin, r.Umax = 0, ^uint64(0)
@@ -443,7 +439,7 @@ func aArsh(a, b Val) Val {
 	return unknownScalar()
 }
 
-func aNeg(a Val) Val { return aSub(constVal(0), a) }
+func aNeg(a absVal) absVal { return aSub(constVal(0), a) }
 
 // ---------------------------------------------------------------------------
 // 32-bit views. ALU32 computes on the low words and zero-extends the
@@ -451,9 +447,9 @@ func aNeg(a Val) Val { return aSub(constVal(0), a) }
 // order-isomorphic to comparing the 32-bit values directly.
 
 // low32 abstracts uint32(x) for every x in v, as a value in [0, 2^32).
-func low32(v Val) Val {
+func low32(v absVal) absVal {
 	const m = uint64(1)<<32 - 1
-	r := Val{K: KindScalar, TN: v.TN.Cast(4)}
+	r := absVal{K: kindScalar, TN: v.TN.Cast(4)}
 	if v.Umax-v.Umin <= m && v.Umin&m <= v.Umax&m && v.Umin>>32 == v.Umax>>32 {
 		r.Umin = v.Umin & m
 		r.Umax = v.Umax & m
@@ -466,9 +462,9 @@ func low32(v Val) Val {
 
 // trunc32 re-abstracts a 64-bit transfer result back into [0, 2^32):
 // exact when the result range never left the low word.
-func trunc32(v Val) Val {
+func trunc32(v absVal) absVal {
 	const m = uint64(1)<<32 - 1
-	r := Val{K: KindScalar, TN: v.TN.Cast(4)}
+	r := absVal{K: kindScalar, TN: v.TN.Cast(4)}
 	if v.Umin <= v.Umax && v.Umax <= m {
 		r.Umin, r.Umax = v.Umin, v.Umax
 	} else {
@@ -480,23 +476,23 @@ func trunc32(v Val) Val {
 
 // sext32 abstracts the interpreter's JMP32 view: sign-extend the low
 // word. Input must already be a low32 value (range within [0, 2^32)).
-func sext32(v Val) Val {
+func sext32(v absVal) absVal {
 	const half = uint64(1) << 31
 	const hi32 = uint64(0xffff_ffff_0000_0000)
-	r := Val{K: KindScalar}
+	r := absVal{K: kindScalar}
 	switch {
 	case v.Umax < half:
 		return v // all non-negative: sign extension is the identity
 	case v.Umin >= half:
 		// All negative: the upper word becomes all-ones.
-		r.TN = Tnum{Value: v.TN.Value | hi32, Mask: v.TN.Mask}
+		r.TN = tnum{Value: v.TN.Value | hi32, Mask: v.TN.Mask}
 		r.Smin = int64(int32(uint32(v.Umin)))
 		r.Smax = int64(int32(uint32(v.Umax)))
 		r.Umin = uint64(r.Smin)
 		r.Umax = uint64(r.Smax)
 	default:
 		// Straddles the sign bit: [Umin, 2^31) ∪ [-2^31, sext(Umax)].
-		r.TN = Tnum{Value: v.TN.Value, Mask: v.TN.Mask | hi32}
+		r.TN = tnum{Value: v.TN.Value, Mask: v.TN.Mask | hi32}
 		r.Smin = math.MinInt32
 		r.Smax = math.MaxInt32
 		r.Umin = v.Umin

@@ -1,4 +1,4 @@
-package absint
+package ebpf
 
 import (
 	"math/rand"
@@ -8,8 +8,8 @@ import (
 // containsU reports whether scalar abstraction v represents the
 // concrete 64-bit value x — the soundness predicate all transfer
 // function tests check.
-func containsU(v Val, x uint64) bool {
-	return v.K == KindScalar &&
+func containsU(v absVal, x uint64) bool {
+	return v.K == kindScalar &&
 		v.TN.Contains(x) &&
 		v.Umin <= x && x <= v.Umax &&
 		v.Smin <= int64(x) && int64(x) <= v.Smax
@@ -18,7 +18,7 @@ func containsU(v Val, x uint64) bool {
 // randVal builds a random sound abstraction together with concrete
 // sample values it must represent (constructed purely from constVal
 // and joinScalar, whose soundness the join test establishes).
-func randVal(rng *rand.Rand) (Val, []uint64) {
+func randVal(rng *rand.Rand) (absVal, []uint64) {
 	base := interestingU64(rng)
 	v := constVal(base)
 	samples := []uint64{base}

@@ -92,7 +92,7 @@ func BenchmarkMarshalInstructions(b *testing.B) {
 
 // mapHelperProgram stores a key/value pair, updates the map and looks
 // the key back up — the capture program's actual helper mix — so this
-// measures the decoded call fast path plus the program's map-FD cache.
+// measures the call path: helper lookup plus map-FD resolution.
 func mapHelperProgram(fd int32) []Instruction {
 	b := NewBuilder()
 	b.StxDW(R10, -8, R1). // key = arg1
@@ -115,8 +115,8 @@ func mapHelperProgram(fd int32) []Instruction {
 }
 
 // BenchmarkInterpreterMapHelpers measures a run dominated by map
-// helper calls: one update + one lookup per execution, resolved
-// through the load-time map-FD cache.
+// helper calls: one update + one lookup per execution, each resolving
+// its map through the VM's fd table.
 func BenchmarkInterpreterMapHelpers(b *testing.B) {
 	vm := NewVM()
 	fd := vm.RegisterMap(MustNewMap(MapTypeHash, "ws", 1<<20))
@@ -129,9 +129,9 @@ func BenchmarkInterpreterMapHelpers(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadDecode measures the one-time load cost the decode cache
-// adds: verification plus pre-decoding of a capture-shaped program.
-func BenchmarkLoadDecode(b *testing.B) {
+// BenchmarkLoad measures the one-time load cost of a capture-shaped
+// program: verification plus the copy of its text.
+func BenchmarkLoad(b *testing.B) {
 	insns := benchProgram()
 	vm := NewVM()
 	b.ResetTimer()

@@ -1,8 +1,16 @@
 // Package ebpf implements the eBPF execution environment that SnapBPF
 // attaches to the simulated kernel: a bytecode ISA mirroring the Linux
-// encoding, an assembler, a verifier that is one abstract
-// interpretation (tnums plus ranges, in internal/ebpf/absint), an
-// interpreter, hash and array maps, and a helper/kfunc registry.
+// encoding, an assembler, a verifier, an interpreter, hash and array
+// maps, and a helper/kfunc registry. The verifier and the interpreter
+// both read the loaded []Instruction; there is no second instruction
+// form.
+//
+// The verifier is one kernel-verifier-style abstract interpreter
+// (absint*.go). It tracks, per register, a tnum (known-bits) domain
+// plus signed and unsigned interval bounds and pointer provenance,
+// runs a worklist fixpoint over the control-flow graph, and evaluates
+// branch feasibility. VM.Analyze returns its full result for report
+// mode.
 //
 // The SnapBPF capture and prefetch mechanisms (§3.1 of the paper) are
 // written as real programs in this ISA: they are assembled with

@@ -1,6 +1,9 @@
 package ebpf
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // VerifyError describes a verification failure at an instruction.
 // Program-level failures (an empty program) carry the zero Instruction.
@@ -44,10 +47,10 @@ func isMapHelper(id int32) (ptrArgs int, ok bool) {
 
 // Verify statically checks an eBPF program the way the modern
 // (bounded-loop-capable) Linux verifier does: one abstract
-// interpretation (internal/ebpf/absint) over tnum + interval register
-// states, with branch-feasibility pruning, run to a fixpoint. A
-// program is accepted when every instruction some execution can reach
-// is proven safe:
+// interpretation (absint*.go) over tnum + interval register states,
+// with branch-feasibility pruning, run to a fixpoint. A program is
+// accepted when every instruction some execution can reach is proven
+// safe:
 //
 //   - the program is non-empty and at most MaxProgramLen instructions;
 //   - every control transfer lands inside the program and never in the
@@ -80,4 +83,70 @@ func Verify(insns []Instruction, res helperResolver) error {
 		e.Insn = insns[e.PC]
 	}
 	return e
+}
+
+// absintOpts adapts a helper resolver into the analyzer's environment
+// callbacks: which call targets resolve and which constants name maps.
+func absintOpts(res helperResolver) analysisOpts {
+	var opts analysisOpts
+	if res != nil {
+		opts.KnownHelper = func(id int32) bool {
+			_, ok := res.Helper(id)
+			return ok
+		}
+	}
+	if maps, ok := res.(mapResolver); ok && maps != nil {
+		opts.ValidMapFD = func(fd int64) bool {
+			if fd < 0 || fd > 1<<31-1 {
+				return false
+			}
+			_, ok := maps.MapByFD(int32(fd))
+			return ok
+		}
+		// Map-helper argument discipline is only enforced when maps
+		// can be resolved at all.
+		opts.MapHelper = isMapHelper
+	}
+	return opts
+}
+
+// analyzeProgram runs the abstract interpreter over a raw program.
+func analyzeProgram(insns []Instruction, res helperResolver) *AnalysisResult {
+	return analyzeInsns(insns, absintOpts(res))
+}
+
+// Analyze runs the abstract interpreter over insns in this VM's
+// helper/map environment and returns the full result: reachability,
+// per-branch feasibility and findings. It is the analysis Verify runs,
+// and it does not require the program to pass.
+func (vm *VM) Analyze(insns []Instruction) *AnalysisResult {
+	return analyzeProgram(insns, vm)
+}
+
+// WriteAbsintReport renders an analysis result as the human-readable
+// static-analysis report `snapbpf-ebpf-check` prints: verdict and
+// length, then every finding with its disassembled
+// instruction. It returns the number of unproven accesses (the
+// contract `snapbpf-ebpf-check` enforces).
+func WriteAbsintReport(w io.Writer, name string, insns []Instruction, r *AnalysisResult) int {
+	verdict := "OK"
+	if !r.OK {
+		verdict = "REJECTED"
+	}
+	fmt.Fprintf(w, "program %s: %s, %d insns\n", name, verdict, len(insns))
+	if r.Err != nil {
+		fmt.Fprintf(w, "  error at pc %d: %s\n    state: %s\n", r.Err.PC, r.Err.Msg, r.Err.State)
+	}
+	unproven := 0
+	for _, f := range r.Findings {
+		if f.Kind == "unproven-access" {
+			unproven++
+		}
+		insn := ""
+		if f.PC >= 0 && f.PC < len(insns) {
+			insn = fmt.Sprintf("  [%s]", insns[f.PC])
+		}
+		fmt.Fprintf(w, "  %-17s pc %3d: %s%s\n", f.Kind, f.PC, f.Msg, insn)
+	}
+	return unproven
 }

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -36,8 +37,7 @@ type HelperSpec struct {
 // all programs attached anywhere in that kernel share it.
 type VM struct {
 	helpers map[int32]HelperSpec
-	maps    map[int32]*Map
-	nextFD  int32
+	maps    []*Map // indexed by fd; fds 0-2 stay nil
 	clock   Clock
 
 	// TraceLog receives bpf_trace_printk output when non-nil.
@@ -49,8 +49,7 @@ type VM struct {
 func NewVM() *VM {
 	vm := &VM{
 		helpers: make(map[int32]HelperSpec),
-		maps:    make(map[int32]*Map),
-		nextFD:  3, // fds 0-2 reserved, as ever
+		maps:    make([]*Map, 3), // fds 0-2 reserved, as ever
 	}
 	registerStandardHelpers(vm)
 	return vm
@@ -82,53 +81,42 @@ func (vm *VM) Helper(id int32) (HelperSpec, bool) {
 // RegisterMap installs a map and returns its file descriptor, which
 // programs embed via LdImm64.
 func (vm *VM) RegisterMap(m *Map) int32 {
-	fd := vm.nextFD
-	vm.nextFD++
-	vm.maps[fd] = m
-	return fd
+	vm.maps = append(vm.maps, m)
+	return int32(len(vm.maps) - 1)
 }
 
 // MapByFD resolves a map file descriptor.
 func (vm *VM) MapByFD(fd int32) (*Map, bool) {
-	m, ok := vm.maps[fd]
-	return m, ok
+	if fd < 0 || int(fd) >= len(vm.maps) || vm.maps[fd] == nil {
+		return nil, false
+	}
+	return vm.maps[fd], true
 }
 
 // Program is a loaded, verified eBPF program.
 type Program struct {
 	Name  string
 	insns []Instruction
-	dec   []decoded // pre-decoded text; see decode.go
 	vm    *VM
-
-	// mapCache memoizes map-FD resolution: a dense fd-indexed snapshot
-	// of the VM's map table taken at load time, so helpers skip the
-	// VM's hash lookup on the hot path. Sealed at Load (read-only
-	// afterwards); fds registered later fall back to the VM table.
-	mapCache []*Map
 
 	// Enabled gates execution when the program is attached to a hook;
 	// SnapBPF's prefetch program clears it after issuing the last
 	// group ("the eBPF program will disable itself").
 	Enabled bool
 
-	// scratch is the reusable run state. A program belongs to one
-	// simulated kernel, whose probe dispatch is sequential, so a single
-	// buffer serves virtually every run; state's owner bit arbitrates
-	// the rare concurrent Run (tests), which falls back to a fresh
-	// allocation.
+	// scratch is the reusable run state, guarded by mu. A program
+	// belongs to one simulated kernel, whose probe dispatch is
+	// sequential, so a single buffer serves virtually every run; a
+	// Run that finds mu held (concurrent runs, in tests) uses a fresh
+	// allocation instead.
+	mu      sync.Mutex
 	scratch *runState
 
-	// state packs the scratch-owner flag (bit 0) with the
-	// completed-run count (bits 1+): a successful scratch run releases
-	// the buffer and counts itself in one atomic add, which keeps the
-	// per-fault fast path at two lock-prefixed instructions instead of
-	// three (acquire, count, release).
-	state atomic.Uint64
+	runs atomic.Int64 // completed (non-erroring) runs
 }
 
 // Runs returns the number of completed (non-erroring) executions.
-func (p *Program) Runs() int64 { return int64(p.state.Load() >> 1) }
+func (p *Program) Runs() int64 { return p.runs.Load() }
 
 // runState is the per-execution state: the call context, the register
 // file and the 512-byte stack frame, kept together so one allocation
@@ -148,24 +136,15 @@ type runState struct {
 
 // Load verifies insns against the VM's helper and map tables and
 // returns a runnable Program. This models the bpf(BPF_PROG_LOAD)
-// syscall: an invalid program never becomes runnable. Loading also
-// pre-decodes the instruction stream (decode.go) and snapshots the
-// map table, so per-step re-parsing never happens at run time.
+// syscall: an invalid program never becomes runnable. The program
+// keeps its own copy of insns, which the interpreter runs as is.
 func (vm *VM) Load(name string, insns []Instruction) (*Program, error) {
 	if err := Verify(insns, vm); err != nil {
 		return nil, fmt.Errorf("ebpf: load %q: %w", name, err)
 	}
 	cp := make([]Instruction, len(insns))
 	copy(cp, insns)
-	p := &Program{Name: name, insns: cp, vm: vm, Enabled: true}
-	p.dec = decodeProgram(cp, vm)
-	p.mapCache = make([]*Map, vm.nextFD)
-	for fd, m := range vm.maps {
-		if fd >= 0 && int(fd) < len(p.mapCache) {
-			p.mapCache[fd] = m
-		}
-	}
-	return p, nil
+	return &Program{Name: name, insns: cp, vm: vm, Enabled: true}, nil
 }
 
 // MustLoad is Load but panics on error.
@@ -191,7 +170,6 @@ func (p *Program) Instructions() []Instruction {
 // program's stack (for pointer arguments) and the VM's maps.
 type CallContext struct {
 	VM    *VM
-	Prog  *Program
 	stack []byte
 
 	// Env carries simulation-side state (e.g. the host kernel) so
@@ -200,18 +178,8 @@ type CallContext struct {
 	Env any
 }
 
-// Map resolves a map file descriptor through the calling program's
-// load-time cache, falling back to the VM table for maps registered
-// after the program loaded. Helpers use this instead of VM.MapByFD so
-// the per-call hash lookup disappears from the kprobe hot path.
-func (c *CallContext) Map(fd int32) (*Map, bool) {
-	if p := c.Prog; p != nil && fd >= 0 && int(fd) < len(p.mapCache) {
-		if m := p.mapCache[fd]; m != nil {
-			return m, true
-		}
-	}
-	return c.VM.MapByFD(fd)
-}
+// Map resolves a map file descriptor in the calling VM's table.
+func (c *CallContext) Map(fd int32) (*Map, bool) { return c.VM.MapByFD(fd) }
 
 // ReadStackU64 reads an 8-byte value at a stack virtual address.
 func (c *CallContext) ReadStackU64(addr uint64) (uint64, error) {
@@ -243,20 +211,17 @@ func stackIndex(addr uint64, size int) (int, error) {
 // Run executes the program with up to five u64 arguments in R1–R5 and
 // returns R0. Env is made available to helpers via the CallContext.
 //
-// The dispatch loop walks the pre-decoded instruction cache
-// (decode.go): no opcode bit-masking, immediate sign-extension, lddw
-// reassembly or helper-table lookup happens per step. Run state (call
-// context + registers + stack) is a single buffer reused across
-// sequential runs; concurrent runs of one program fall back to a fresh
-// buffer.
+// Run state (call context + registers + stack) is a single buffer
+// reused across sequential runs; concurrent runs of one program fall
+// back to a fresh buffer. The buffer is released by defer, so a
+// panicking helper does not orphan it.
 func (p *Program) Run(env any, args ...uint64) (uint64, error) {
 	if len(args) > 5 {
 		return 0, fmt.Errorf("ebpf: too many arguments (%d > 5)", len(args))
 	}
 	var st *runState
-	scratch := false
-	if s := p.state.Load(); s&1 == 0 && p.state.CompareAndSwap(s, s|1) {
-		scratch = true
+	if p.mu.TryLock() {
+		defer p.mu.Unlock()
 		if p.scratch == nil {
 			p.scratch = p.newRunState()
 		}
@@ -266,17 +231,8 @@ func (p *Program) Run(env any, args ...uint64) (uint64, error) {
 		st = p.newRunState()
 	}
 	ret, err := p.start(st, env, args)
-	// Release the scratch buffer and/or count the completed run. A
-	// panicking helper skips this and orphans the scratch (later runs
-	// stay correct on fresh buffers), which is fine: helper panics are
-	// programming errors that kill the simulated kernel anyway.
-	switch {
-	case scratch && err == nil:
-		p.state.Add(1) // clears the owner bit and counts, in one add
-	case scratch:
-		p.state.Add(^uint64(0)) // clears the owner bit; errors don't count
-	case err == nil:
-		p.state.Add(2)
+	if err == nil {
+		p.runs.Add(1)
 	}
 	return ret, err
 }
@@ -308,144 +264,134 @@ func (p *Program) start(st *runState, env any, args []uint64) (uint64, error) {
 }
 
 // newRunState allocates machine state wired to this program. The
-// CallContext's VM/Prog/stack fields never change across runs, so they
-// are set once here and only Env is written per run — the full
-// struct assignment was four pointer writes (and their GC barriers) on
-// every kprobe firing. The scratch state keeps the last run's Env
+// CallContext's VM and stack fields never change across runs, so they
+// are set once here and only Env is written per run. The scratch state keeps the last run's Env
 // reference alive until the next run; environments are long-lived
 // kernel objects, so nothing of consequence is ever retained.
 func (p *Program) newRunState() *runState {
 	st := new(runState)
-	st.ctx = CallContext{VM: p.vm, Prog: p, stack: st.stack[:]}
+	st.ctx = CallContext{VM: p.vm, stack: st.stack[:]}
 	return st
 }
 
 // runInterp is the dispatch loop: it runs the machine state in st from
-// pc 0 until exit, an error or the instruction budget.
+// pc 0 until exit, an error or the instruction budget, decoding each
+// instruction's fields as it executes it.
 func (p *Program) runInterp(st *runState) (uint64, error) {
 	regs := st.regs
-	ctx := &st.ctx
-	dec := p.dec
-	if dec == nil {
-		// Program constructed without Load (tests); decode on first use.
-		dec = decodeProgram(p.insns, p.vm)
-		p.dec = dec
-	}
+	insns := p.insns
 	pc := 0
 	for steps := 0; ; steps++ {
 		if steps >= InsnBudget {
 			return 0, fmt.Errorf("ebpf: %s: instruction budget exceeded", p.Name)
 		}
-		if pc < 0 || pc >= len(dec) {
+		if pc < 0 || pc >= len(insns) {
 			return 0, fmt.Errorf("ebpf: %s: pc out of range: %d", p.Name, pc)
 		}
-		in := &dec[pc]
+		in := insns[pc]
 
-		switch in.kind {
-		case decALU64:
-			var src uint64
-			if in.regSrc {
-				src = regs[in.src]
-			} else {
-				src = uint64(in.imm)
+		switch in.Class() {
+		case ClassALU64:
+			src := uint64(int64(in.Imm))
+			if in.usesRegSrc() {
+				src = regs[in.Src]
 			}
-			dst, err := aluOp64(in.op, regs[in.dst], src)
+			dst, err := aluOp64(in.aluOp(), regs[in.Dst], src)
 			if err != nil {
 				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
 			}
-			regs[in.dst] = dst
+			regs[in.Dst] = dst
 			pc++
-		case decALU32:
-			var src uint32
-			if in.regSrc {
-				src = uint32(regs[in.src])
-			} else {
-				src = uint32(in.imm)
+		case ClassALU:
+			src := uint32(in.Imm)
+			if in.usesRegSrc() {
+				src = uint32(regs[in.Src])
 			}
-			dst, err := aluOp32(in.op, uint32(regs[in.dst]), src)
+			dst, err := aluOp32(in.aluOp(), uint32(regs[in.Dst]), src)
 			if err != nil {
 				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
 			}
 			// 32-bit ops zero the upper half, as on hardware.
-			regs[in.dst] = uint64(dst)
+			regs[in.Dst] = uint64(dst)
 			pc++
-		case decLdImm64:
-			regs[in.dst] = in.imm64
+		case ClassLD:
+			// Only the first slot of a lddw executes; its upper slot
+			// (Op 0) is never a valid target.
+			if in.Op != OpLdImm64 || pc+1 >= len(insns) {
+				return 0, fmt.Errorf("ebpf: %s @%d: unsupported instruction %s", p.Name, pc, in)
+			}
+			regs[in.Dst] = uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32
 			pc += 2
-		case decLdx:
-			addr := regs[in.src] + uint64(int64(in.off))
-			i, err := stackIndex(addr, int(in.size))
+		case ClassLDX:
+			addr := regs[in.Src] + uint64(int64(in.Off))
+			i, err := stackIndex(addr, in.size())
 			if err != nil {
 				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
 			}
-			regs[in.dst] = loadSized(st.stack[i:], int(in.size))
+			regs[in.Dst] = loadSized(st.stack[i:], in.size())
 			pc++
-		case decStx:
-			addr := regs[in.dst] + uint64(int64(in.off))
-			i, err := stackIndex(addr, int(in.size))
+		case ClassSTX, ClassST:
+			addr := regs[in.Dst] + uint64(int64(in.Off))
+			i, err := stackIndex(addr, in.size())
 			if err != nil {
 				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
 			}
-			storeSized(st.stack[i:], int(in.size), regs[in.src])
+			v := uint64(int64(in.Imm))
+			if in.Class() == ClassSTX {
+				v = regs[in.Src]
+			}
+			storeSized(st.stack[i:], in.size(), v)
 			pc++
-		case decSt:
-			addr := regs[in.dst] + uint64(int64(in.off))
-			i, err := stackIndex(addr, int(in.size))
-			if err != nil {
-				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
-			}
-			storeSized(st.stack[i:], int(in.size), uint64(in.imm))
-			pc++
-		case decExit:
-			st.regs = regs // expose the final register file (tests)
-			return regs[R0], nil
-		case decCall:
-			if in.helper == nil {
-				return 0, fmt.Errorf("ebpf: %s @%d: unknown helper %d", p.Name, pc, in.hid)
-			}
-			var hargs [5]uint64
-			copy(hargs[:], regs[R1:R6])
-			r0, err := in.helper(ctx, hargs)
-			if err != nil {
-				return 0, fmt.Errorf("ebpf: %s @%d: helper %s: %w", p.Name, pc, in.hname, err)
-			}
-			regs[R0] = r0
-			// R1-R5 are caller-clobbered; poison them to catch
-			// programs that slipped past verification.
-			for r := R1; r <= R5; r++ {
-				regs[r] = poison
-			}
-			pc++
-		case decJa:
-			pc += int(in.off)
-		case decJump, decJump32:
-			dst := regs[in.dst]
-			var src uint64
-			if in.regSrc {
-				src = regs[in.src]
-			} else {
-				src = uint64(in.imm)
-			}
-			if in.kind == decJump32 {
-				// JMP32 compares the low 32 bits; signed variants
-				// sign-extend them.
-				dst = uint64(int64(int32(uint32(dst))))
-				src = uint64(int64(int32(uint32(src))))
-			}
-			taken, err := jumpTaken(in.op, dst, src)
-			if err != nil {
-				return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
-			}
-			if st.branchHook != nil {
-				st.branchHook(pc, taken)
-			}
-			if taken {
-				pc += int(in.off)
-			} else {
+		case ClassJMP, ClassJMP32:
+			switch op := in.aluOp(); op {
+			case OpExit:
+				st.regs = regs // expose the final register file (tests)
+				return regs[R0], nil
+			case OpCall:
+				h, ok := p.vm.helpers[in.Imm]
+				if !ok {
+					return 0, fmt.Errorf("ebpf: %s @%d: unknown helper %d", p.Name, pc, in.Imm)
+				}
+				var hargs [5]uint64
+				copy(hargs[:], regs[R1:R6])
+				r0, err := h.Fn(&st.ctx, hargs)
+				if err != nil {
+					return 0, fmt.Errorf("ebpf: %s @%d: helper %s: %w", p.Name, pc, h.Name, err)
+				}
+				regs[R0] = r0
+				// R1-R5 are caller-clobbered; poison them to catch
+				// programs that slipped past verification.
+				for r := R1; r <= R5; r++ {
+					regs[r] = poison
+				}
 				pc++
+			case OpJa:
+				pc += 1 + int(in.Off)
+			default:
+				dst := regs[in.Dst]
+				src := uint64(int64(in.Imm))
+				if in.usesRegSrc() {
+					src = regs[in.Src]
+				}
+				if in.Class() == ClassJMP32 {
+					// JMP32 compares the low 32 bits; signed variants
+					// sign-extend them.
+					dst = uint64(int64(int32(uint32(dst))))
+					src = uint64(int64(int32(uint32(src))))
+				}
+				taken, err := jumpTaken(op, dst, src)
+				if err != nil {
+					return 0, fmt.Errorf("ebpf: %s @%d: %w", p.Name, pc, err)
+				}
+				if st.branchHook != nil {
+					st.branchHook(pc, taken)
+				}
+				if taken {
+					pc += 1 + int(in.Off)
+				} else {
+					pc++
+				}
 			}
-		default:
-			return 0, fmt.Errorf("ebpf: %s @%d: unsupported instruction %s", p.Name, pc, p.insns[pc])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -600,6 +601,131 @@ func TestRunScratchReuse(t *testing.T) {
 	}
 	if p.Runs() != 4 {
 		t.Fatalf("Runs = %d, want 4", p.Runs())
+	}
+}
+
+// TestHelperPanicKeepsScratch: a helper that panics (its caller
+// recovers) must not orphan the scratch state. Later runs reuse it,
+// allocating nothing, and are still counted.
+func TestHelperPanicKeepsScratch(t *testing.T) {
+	vm := NewVM()
+	const boomID = KfuncBase + 98
+	vm.MustRegisterHelper(boomID, "boom", func(ctx *CallContext, args [5]uint64) (uint64, error) {
+		if args[0] == 1 {
+			panic("helper bug")
+		}
+		return 7, nil
+	})
+	b := NewBuilder()
+	b.Call(boomID).Exit()
+	prog := vm.MustLoad("boom", b.MustProgram())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("helper panic did not reach the caller")
+			}
+		}()
+		_, _ = prog.Run(nil, 1)
+	}()
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := prog.Run(nil, 0); err != nil || got != 7 {
+			t.Fatalf("got %d, err %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a run after a helper panic allocates %.1f times, want 0", allocs)
+	}
+	if got := prog.Runs(); got != 101 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("Runs = %d, want 101", got)
+	}
+}
+
+// TestProgramConcurrentRun drives one loaded program from many
+// goroutines at once: the scratch-buffer arbitration must fall back to
+// fresh state, never corrupt results, and stay race-clean.
+func TestProgramConcurrentRun(t *testing.T) {
+	vm := NewVM()
+	fd := vm.RegisterMap(MustNewMap(MapTypeArray, "arr", 8))
+	m, _ := vm.MapByFD(fd)
+	if err := m.Update(3, 77); err != nil {
+		t.Fatal(err)
+	}
+	// Stack-heavy program: store both args, reload, sum, add the map
+	// value for key 3 — any cross-run stack sharing would corrupt it.
+	b := NewBuilder()
+	b.StxDW(R10, -8, R1).
+		StxDW(R10, -16, R2).
+		StDWImm(R10, -24, 3).
+		Mov64Imm(R1, fd).
+		Mov64Reg(R2, R10).
+		Add64Imm(R2, -24).
+		Mov64Reg(R3, R10).
+		Add64Imm(R3, -32).
+		Call(HelperMapLookupElem).
+		LdxDW(R6, R10, -8).
+		LdxDW(R7, R10, -16).
+		LdxDW(R8, R10, -32).
+		Mov64Reg(R0, R6).
+		Add64Reg(R0, R7).
+		Add64Reg(R0, R8).
+		Exit()
+	prog := vm.MustLoad("conc", b.MustProgram())
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				got, err := prog.Run(nil, 10, 20)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got != 10+20+77 {
+					errs <- &VerifyError{Msg: "corrupted result"}
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if prog.Runs() != 8*2000 {
+		t.Fatalf("Runs = %d, want %d", prog.Runs(), 8*2000)
+	}
+}
+
+// TestMapRegisteredAfterLoadReachable: an fd registered after the
+// program loaded must still resolve through the VM table, and a fd
+// past its end must not.
+func TestMapRegisteredAfterLoadReachable(t *testing.T) {
+	vm := NewVM()
+	const probeID = KfuncBase + 99
+	vm.MustRegisterHelper(probeID, "probe_map", func(ctx *CallContext, args [5]uint64) (uint64, error) {
+		if _, ok := ctx.Map(int32(args[0])); ok {
+			return 1, nil
+		}
+		return 0, nil
+	})
+	b := NewBuilder()
+	b.Call(probeID).Exit()
+	prog := vm.MustLoad("late", b.MustProgram())
+
+	lateFD := vm.RegisterMap(MustNewMap(MapTypeHash, "late", 16))
+	got, err := prog.Run(nil, uint64(lateFD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Fatalf("late-registered map not reachable (got %d)", got)
+	}
+	if got, err := prog.Run(nil, uint64(lateFD+1000)); err != nil || got != 0 {
+		t.Fatalf("bogus fd resolved: got=%d err=%v", got, err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"snapbpf/internal/faults"
@@ -61,6 +63,30 @@ func TestRunWavesWarmsCache(t *testing.T) {
 func TestRunWavesValidation(t *testing.T) {
 	if _, err := RunWaves(tinyFn(), SchemeSnapBPF, 0, 0, Config{N: 2}); err == nil {
 		t.Fatal("zero waves accepted")
+	}
+}
+
+// TestRunConfigValidation: out-of-range Config values fail the run
+// with an error naming the field, instead of running as if they were
+// in range.
+func TestRunConfigValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"variance-above-1", Config{InputVariance: 5}, "input variance"},
+		{"variance-negative", Config{InputVariance: -1}, "input variance"},
+		{"variance-nan", Config{InputVariance: math.NaN()}, "input variance"},
+		{"drift-negative", Config{AllocDrift: -3}, "allocator drift"},
+		{"cache-limit-negative", Config{CacheLimitPages: -5}, "page-cache limit"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(tinyFn(), SchemeSnapBPF, c.cfg)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -206,6 +206,16 @@ func (cfg *Config) measure(label string, scheme Scheme, fns []workload.Function,
 	if cfg.N == 0 {
 		cfg.N = 1
 	}
+	// Written so that NaN fails too.
+	if !(cfg.InputVariance >= 0 && cfg.InputVariance <= 1) {
+		return nil, fmt.Errorf("%s: input variance %v outside [0, 1]", label, cfg.InputVariance)
+	}
+	if cfg.AllocDrift < 0 {
+		return nil, fmt.Errorf("%s: negative allocator drift %d", label, cfg.AllocDrift)
+	}
+	if cfg.CacheLimitPages < 0 {
+		return nil, fmt.Errorf("%s: negative page-cache limit %d pages", label, cfg.CacheLimitPages)
+	}
 	if cfg.Device.Name == "" {
 		cfg.Device = blockdev.MicronSATA5300()
 	}

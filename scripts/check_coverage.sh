@@ -12,8 +12,7 @@ profile="${1:-coverage.out}"
 
 declare -A floors=(
   [snapbpf/internal/sim]=93.0
-  [snapbpf/internal/ebpf]=86.0
-  [snapbpf/internal/ebpf/absint]=89.0
+  [snapbpf/internal/ebpf]=89.2
   [snapbpf/internal/pagecache]=84.0
   [snapbpf/internal/guest]=94.5
   [snapbpf/internal/kvm]=78.0
