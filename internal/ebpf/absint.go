@@ -33,9 +33,9 @@ type Finding struct {
 	Msg  string
 }
 
-// AnalysisError is the first (in program order) reason the analysis cannot
-// prove the program safe, with the abstract register state at that
-// point.
+// AnalysisError is the first (in program order) reason the analysis
+// cannot prove the program safe, with the abstract register state at
+// that point.
 type AnalysisError struct {
 	PC    int
 	Msg   string
