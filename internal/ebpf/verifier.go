@@ -74,7 +74,7 @@ func isMapHelper(id int32) (ptrArgs int, ok bool) {
 // program order is returned as a *VerifyError. VM.Analyze returns the
 // full analysis for report mode.
 func Verify(insns []Instruction, res helperResolver) error {
-	r := analyzeProgram(insns, res)
+	r := analyzeInsns(insns, absintOpts(res))
 	if r.OK {
 		return nil
 	}
@@ -110,17 +110,12 @@ func absintOpts(res helperResolver) analysisOpts {
 	return opts
 }
 
-// analyzeProgram runs the abstract interpreter over a raw program.
-func analyzeProgram(insns []Instruction, res helperResolver) *AnalysisResult {
-	return analyzeInsns(insns, absintOpts(res))
-}
-
 // Analyze runs the abstract interpreter over insns in this VM's
 // helper/map environment and returns the full result: reachability,
 // per-branch feasibility and findings. It is the analysis Verify runs,
 // and it does not require the program to pass.
 func (vm *VM) Analyze(insns []Instruction) *AnalysisResult {
-	return analyzeProgram(insns, vm)
+	return analyzeInsns(insns, absintOpts(vm))
 }
 
 // WriteAbsintReport renders an analysis result as the human-readable
