@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"snapbpf/internal/cluster"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
+	"snapbpf/internal/store"
 	"snapbpf/internal/workload"
 )
 
@@ -121,6 +124,87 @@ func TestObsGoldenByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(string(serialProm), "snapbpf_restores_total 6\n") {
 		t.Errorf("aggregate prometheus missing snapbpf_restores_total 6")
+	}
+}
+
+// Golden digests of the trace and metrics documents over the cells
+// the local golden above does not reach: two cold-tier cells, whose
+// chunk fetches run on store processes, and a 2-host region, whose
+// hosts share one engine and so number their threads from one
+// process stream.
+const (
+	goldenObsRemoteTraceSHA   = "8f1c6c3f21374cc09f8697ba3c29bb91a5fd5c5abf84dd9dce088324c6e7f9f9"
+	goldenObsRemoteMetricsSHA = "3e454ae0a0f17fae980a40ab0d730a9a503a50a542297d141860c15b6a791109"
+)
+
+// TestObsGoldenRemoteAndRegion pins the trace and metrics documents
+// of two cold-tier cells and a 2-host round-robin region with the
+// checker armed.
+func TestObsGoldenRemoteAndRegion(t *testing.T) {
+	fn := tinyFn()
+	var tcs []obs.TraceCell
+	var mcs []obs.MetricsCell
+	add := func(name string, rep *obs.Report) {
+		name = fmt.Sprintf("%03d %s", len(tcs), name)
+		tcs = append(tcs, obs.TraceCell{Name: name, Report: rep})
+		mcs = append(mcs, obs.MetricsCell{Name: name, Report: rep})
+	}
+	cold := func(p store.Policy) *store.Setup {
+		return &store.Setup{Tier: store.TierCold, Policy: p, Params: store.DefaultParams()}
+	}
+	o := Options{
+		Parallel: 1,
+		Check:    true,
+		Obs:      &obs.Config{Trace: true, Metrics: true},
+		ObsSink:  add,
+	}
+	if _, err := RunCells(o, []Cell{
+		{Fn: fn, Scheme: SchemeSnapBPF, Cfg: Config{N: 2, Store: cold(store.PolicyWSLazy)}},
+		{Fn: fn, Scheme: SchemeLinuxRA, Cfg: Config{N: 2, Store: cold(store.PolicyDemand)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	arrivals := make([]workload.Arrival, 6)
+	for i := range arrivals {
+		arrivals[i] = workload.Arrival{At: time.Duration(i) * 20 * time.Millisecond,
+			Tenant: "t", Seq: i, Fn: fn.Name, Class: workload.ClassStandard}
+	}
+	res, err := cluster.Run(cluster.Config{
+		Hosts:     2,
+		Scheme:    cluster.Scheme{Name: SchemeSnapBPF.Name, New: SchemeSnapBPF.New},
+		Router:    cluster.RouterRoundRobin,
+		Arrivals:  arrivals,
+		Functions: []workload.Function{fn},
+		Check:     true,
+		Obs:       &obs.Config{Trace: true, Metrics: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range res.Hosts {
+		add("region/"+h.Name, h.Obs)
+	}
+
+	traceDoc := obs.BuildTrace(tcs)
+	if err := obs.ValidateTrace(traceDoc); err != nil {
+		t.Errorf("trace schema: %v", err)
+	}
+	metricsDoc, err := obs.BuildMetricsJSON(mcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(traceDoc); got != goldenObsRemoteTraceSHA {
+		t.Errorf("trace digest = %s, pinned %s (%d bytes)", got, goldenObsRemoteTraceSHA, len(traceDoc))
+	}
+	if got := sha(metricsDoc); got != goldenObsRemoteMetricsSHA {
+		t.Errorf("metrics digest = %s, pinned %s (%d bytes)", got, goldenObsRemoteMetricsSHA, len(metricsDoc))
+	}
+	// The pin must cover store-fetch spans and more than one host.
+	for _, want := range []string{`"name":"store-fetch"`, `region/host0`, `region/host1`} {
+		if !bytes.Contains(traceDoc, []byte(want)) {
+			t.Errorf("trace missing %s", want)
+		}
 	}
 }
 
