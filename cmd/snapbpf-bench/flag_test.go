@@ -104,3 +104,26 @@ func TestFuncsFlagRejectsDuplicates(t *testing.T) {
 		t.Error("unknown function silently accepted")
 	}
 }
+
+// TestReplayKFlagValidation pins -replay-k: a negative count is an
+// error naming the flag, returned before any function is resolved or
+// replayed, instead of a silent fallback to the default 3.
+func TestReplayKFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		fns string
+		k   int
+	}{
+		{"json", -5},
+		{"json", -1},
+		{"no-such-fn", -1}, // rejected before the name is looked up
+	} {
+		err := runReplay(tc.fns, tc.k, 1)
+		if err == nil {
+			t.Errorf("-replay %s -replay-k %d silently accepted", tc.fns, tc.k)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-replay-k") {
+			t.Errorf("-replay-k %d error %q does not name the flag", tc.k, err)
+		}
+	}
+}

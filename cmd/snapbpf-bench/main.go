@@ -60,7 +60,7 @@ func main() {
 		fitness    = flag.Bool("fitness", false, "score the regenerated figures against the paper's published values and check its claims; nonzero exit on any failure")
 		fitnessOut = flag.String("fitness-out", "results/fitness.json", "where -fitness writes its JSON verdict")
 		replayFns  = flag.String("replay", "", "comma-separated function names: counterfactual prefetch-decision replay instead of experiments")
-		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one")
+		replayK    = flag.Int("replay-k", 3, "alternative schedules to replay per function, beyond the recorded one (0 = 3)")
 		storeTier  = flag.String("store", "", "snapshot tier for every experiment: local, warm, cold (empty = local SSD)")
 		fetchPol   = flag.String("fetch-policy", "", "remote chunk fetch policy: demand, full, wslazy (empty = demand)")
 		hostsN     = flag.Int("hosts", 0, "cluster experiment: region size in hosts (0 = default 4)")
@@ -312,6 +312,9 @@ func clusterParams(hosts int, routers string, keepalive int) (*experiments.Clust
 // recorded E2E exactly — a nonzero delta means the simulator lost
 // determinism, and the run fails loudly.
 func runReplay(fns string, k, parallel int) error {
+	if k < 0 {
+		return fmt.Errorf("-replay-k must be >= 0, got %d", k)
+	}
 	for _, name := range strings.Split(fns, ",") {
 		fn, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {

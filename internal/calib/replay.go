@@ -82,7 +82,7 @@ type Alternative struct {
 // ReplayConfig tunes Replay.
 type ReplayConfig struct {
 	// K bounds the counterfactual alternatives beyond the recorded
-	// schedule (default 3).
+	// schedule; 0 means the default 3, and a negative K is an error.
 	K int
 	// Parallel is the worker-pool width for the alternative runs (0 =
 	// one per CPU); results are identical at any width.
@@ -116,7 +116,10 @@ type ReplayReport struct {
 // reversed order, truncated to K alternatives after the recorded one.
 func Replay(fn workload.Function, rc ReplayConfig) (*ReplayReport, error) {
 	k := rc.K
-	if k <= 0 {
+	if k < 0 {
+		return nil, fmt.Errorf("calib: replay K must be >= 0, got %d", k)
+	}
+	if k == 0 {
 		k = 3
 	}
 	newScheme := rc.NewScheme

@@ -91,3 +91,10 @@ func TestBuildAlternativesTruncation(t *testing.T) {
 		t.Fatalf("K=1: got %d alternatives, want recorded + 1", len(rep.Alternatives))
 	}
 }
+
+// A negative K is an error, not the default.
+func TestReplayRejectsNegativeK(t *testing.T) {
+	if rep, err := Replay(jsonFn(t), ReplayConfig{K: -5, Parallel: 1}); err == nil {
+		t.Fatalf("K=-5 accepted, replayed %d alternatives", len(rep.Alternatives))
+	}
+}

@@ -18,15 +18,15 @@
 //     Report counters at the end of the run.
 //
 // Every per-event lookup is an array index rather than a hash: an
-// address space's shadow is a chunked dense page table (64-page chunks
-// of pointer-free slots, allocated on first write and freed when the
-// space is released empty), page presence, derived refcounts and
-// content tags are slices in one entry per inode indexed by inode
-// number, and each simulated task keeps one guest-access stack. The
-// shadow therefore costs 8 bytes per 64 address-space pages plus
-// 1.5 KiB per touched 64-page run, and per file 5 bytes a page once
-// any page is cached and mapped, plus 8 a page when its contents are
-// known.
+// address space's shadow, found by AddressSpace.ID, is a chunked dense
+// page table (64-page chunks of pointer-free slots, allocated on first
+// write and freed when the space is released empty), page presence,
+// derived refcounts and content tags are slices in one entry per inode
+// indexed by inode number, and each simulated task keeps one
+// guest-access stack, found by Proc.ID. The shadow therefore costs
+// 8 bytes per 64 address-space pages plus 1.5 KiB per touched 64-page
+// run, and per file 5 bytes a page once any page is cached and mapped,
+// plus 8 a page when its contents are known.
 //
 // On top of the shadow page tables sits the differential oracle: the
 // repo models page contents as uint64 tags, so after an invocation the
@@ -165,8 +165,9 @@ func (is *inodeShadow) ref(idx int64) int32 {
 	return 0
 }
 
-// grow returns s extended to cover index idx, sized to the whole file
-// on first use.
+// grow returns s extended to cover index idx and at least nrPages
+// entries: a file's page slices are sized to the whole file on first
+// use, while the space and task tables pass 0 and grow by ID.
 func grow[T any](s []T, idx, nrPages int64) []T {
 	if idx < int64(len(s)) {
 		return s
@@ -218,21 +219,15 @@ type Checker struct {
 	inodes  []*inodeShadow
 	nCached int64
 
-	// spaces shadows every address space's page table; lastAS and
-	// lastSpace cache the most recent lookup. liveAnon counts the
-	// anonymous pages of the spaces not yet released.
-	spaces    map[*hostmm.AddressSpace]*spaceShadow
-	lastAS    *hostmm.AddressSpace
-	lastSpace *spaceShadow
-	liveAnon  int64
+	// spaces shadows every address space's page table, indexed by
+	// AddressSpace.ID(). liveAnon counts the anonymous pages of the
+	// spaces not yet released.
+	spaces   []*spaceShadow
+	liveAnon int64
 
-	// access tracks in-progress guest accesses per simulated task; a
-	// task's stack is kept once created, and stacks lists them in
-	// creation order. lastProc/lastStack cache the most recent lookup.
-	access    map[*sim.Proc]*accessStack
-	stacks    []*accessStack
-	lastProc  *sim.Proc
-	lastStack *accessStack
+	// stacks tracks in-progress guest accesses per simulated task,
+	// indexed by Proc.ID(); a task's stack is kept once created.
+	stacks []*accessStack
 
 	// prefetch-level counters.
 	recordsDone  int
@@ -311,8 +306,6 @@ func New(h *vmm.Host, inj *faults.Injector) *Checker {
 		h:      h,
 		inj:    inj,
 		qdepth: h.Dev.Params().QueueDepth,
-		spaces: make(map[*hostmm.AddressSpace]*spaceShadow),
-		access: make(map[*sim.Proc]*accessStack),
 
 		storeCached: make(map[uint64]int64),
 		storeOpen:   make(map[uint64]int),
@@ -356,19 +349,16 @@ func (c *Checker) violatef(invariant, format string, args ...any) {
 }
 
 func (c *Checker) shadow(as *hostmm.AddressSpace) *spaceShadow {
-	if as == c.lastAS {
-		return c.lastSpace
+	id := int64(as.ID())
+	if id < int64(len(c.spaces)) && c.spaces[id] != nil {
+		return c.spaces[id]
 	}
-	s, ok := c.spaces[as]
-	if !ok {
-		// Address space created before the checker attached — only
-		// possible if New was called mid-run, which is a harness bug.
-		c.violatef("space-untracked", "%s observed before SpaceCreated", as.Name())
-		s = newSpaceShadow(as)
-		c.spaces[as] = s
-	}
-	c.lastAS, c.lastSpace = as, s
-	return s
+	// Address space created before the checker attached — only
+	// possible if New was called mid-run, which is a harness bug.
+	c.violatef("space-untracked", "%s observed before SpaceCreated", as.Name())
+	c.spaces = grow(c.spaces, id, 0)
+	c.spaces[id] = newSpaceShadow(as)
+	return c.spaces[id]
 }
 
 // setAnon records an anonymous PTE with the given content in sl, a
@@ -409,17 +399,12 @@ func (c *Checker) inode(ino *pagecache.Inode) *inodeShadow {
 
 // stack returns p's guest-access stack, creating it on first sight.
 func (c *Checker) stack(p *sim.Proc) *accessStack {
-	if c.lastStack != nil && p == c.lastProc {
-		return c.lastStack
+	id := int64(p.ID())
+	c.stacks = grow(c.stacks, id, 0)
+	if c.stacks[id] == nil {
+		c.stacks[id] = &accessStack{}
 	}
-	st, ok := c.access[p]
-	if !ok {
-		st = &accessStack{}
-		c.access[p] = st
-		c.stacks = append(c.stacks, st)
-	}
-	c.lastProc, c.lastStack = p, st
-	return st
+	return c.stacks[id]
 }
 
 // ---------------------------------------------------------------------------
@@ -589,15 +574,15 @@ func (c *Checker) pageGone(ino *pagecache.Inode, idx int64, context string) {
 
 // SpaceCreated implements hostmm.Observer.
 func (c *Checker) SpaceCreated(as *hostmm.AddressSpace) {
-	if old, ok := c.spaces[as]; ok {
+	id := int64(as.ID())
+	c.spaces = grow(c.spaces, id, 0)
+	if old := c.spaces[id]; old != nil {
 		c.violatef("space-recreated", "%s created twice", as.Name())
 		if !old.released {
 			c.liveAnon -= old.nAnon
 		}
 	}
-	s := newSpaceShadow(as)
-	c.spaces[as] = s
-	c.lastAS, c.lastSpace = as, s
+	c.spaces[id] = newSpaceShadow(as)
 }
 
 // SpaceReleased implements hostmm.Observer.
@@ -975,7 +960,7 @@ func (c *Checker) Finish() error {
 			c.inFlight, c.outstanding)
 	}
 	for _, st := range c.stacks {
-		if len(st.open) != 0 {
+		if st != nil && len(st.open) != 0 {
 			c.violatef("access-unbalanced", "run ended with %d guest accesses still open", len(st.open))
 		}
 	}

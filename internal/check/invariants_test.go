@@ -294,6 +294,33 @@ func TestInvariantTable(t *testing.T) {
 			want: func(*fixture) []string { return nil },
 		},
 		{
+			// Creating the fixture's space a second time starts a fresh
+			// shadow, and the old shadow's anonymous pages leave the
+			// live total, so the total cross-check stays quiet.
+			name: "space-recreated",
+			events: func(f *fixture) {
+				f.c.AnonInstalled(f.as, page, 7, true)
+				f.c.SpaceCreated(f.as)
+				f.c.VMDone(f.microVM())
+			},
+			want: func(*fixture) []string {
+				return []string{"space-recreated: as created twice"}
+			},
+		},
+		{
+			// A checker attached after the fixture's space was created
+			// reports the space once, then tracks it.
+			name: "space-untracked",
+			events: func(f *fixture) {
+				f.c = New(f.h, nil)
+				f.c.AnonInstalled(f.as, page, 7, true)
+				f.c.AnonDropped(f.as, page)
+			},
+			want: func(*fixture) []string {
+				return []string{"space-untracked: as observed before SpaceCreated"}
+			},
+		},
+		{
 			name: "cache-double-insert",
 			events: func(f *fixture) {
 				f.c.PageInserted(f.ino, idx, false)

@@ -183,6 +183,7 @@ type FaultStats struct {
 type AddressSpace struct {
 	mm      *MM
 	name    string
+	id      int
 	nrPages int64
 	pt      []pte
 	vmas    []*VMA // sorted by Start, non-overlapping
@@ -196,6 +197,7 @@ func (mm *MM) NewAddressSpace(name string, nrPages int64) *AddressSpace {
 	as := &AddressSpace{
 		mm:      mm,
 		name:    name,
+		id:      len(mm.spaces),
 		nrPages: nrPages,
 		pt:      make([]pte, nrPages),
 	}
@@ -208,6 +210,11 @@ func (mm *MM) NewAddressSpace(name string, nrPages int64) *AddressSpace {
 
 // Name returns the address space name.
 func (as *AddressSpace) Name() string { return as.name }
+
+// ID returns the space's index in its MM's Spaces: spaces are numbered
+// densely from 0 in creation order, so per-space observer state can
+// live in a slice indexed by ID.
+func (as *AddressSpace) ID() int { return as.id }
 
 // NrPages returns the address space size in pages.
 func (as *AddressSpace) NrPages() int64 { return as.nrPages }

@@ -371,3 +371,28 @@ func TestSegfaultPanics(t *testing.T) {
 		t.Fatal("fault with no VMA did not panic")
 	}
 }
+
+// TestSpaceIDIsSpacesIndex pins AddressSpace.ID: it is the space's
+// index in MM.Spaces, released spaces included, and each MM numbers
+// its own spaces from 0.
+func TestSpaceIDIsSpacesIndex(t *testing.T) {
+	w := newWorld()
+	for i, name := range []string{"vm0", "vm1", "vm2"} {
+		as := w.mm.NewAddressSpace(name, 64)
+		if i == 1 {
+			as.Release()
+		}
+	}
+	spaces := w.mm.Spaces()
+	if len(spaces) != 3 {
+		t.Fatalf("%d spaces, want 3", len(spaces))
+	}
+	for i, as := range spaces {
+		if as.ID() != i {
+			t.Errorf("%s: ID %d, index in Spaces %d", as.Name(), as.ID(), i)
+		}
+	}
+	if id := newWorld().mm.NewAddressSpace("other", 64).ID(); id != 0 {
+		t.Errorf("a new MM's first space has ID %d, want 0", id)
+	}
+}

@@ -67,10 +67,13 @@ type frame struct {
 	kind  int8
 }
 
-// frameStack reuses its backing slice across push/pop cycles so the
-// steady-state fault path never allocates.
-type frameStack struct {
-	fs []frame
+// proc is the recorder's state for one simulated process: its trace
+// thread id, and its open frames, innermost last. The frame slice is
+// reused across push/pop cycles, so the steady-state fault path never
+// allocates.
+type proc struct {
+	tid int64
+	fs  []frame
 }
 
 // Recorder observes one simulated host. Like every other observer,
@@ -83,19 +86,11 @@ type Recorder struct {
 	m meters
 
 	maxEvents int
-	events    *eventBuf // non-nil iff cfg.Trace
-	threads   []string  // tid -> thread name; tid 0 is the host
-	tids      map[*sim.Proc]int64
-	frames    map[*sim.Proc]*frameStack
+	events    *eventBuf                 // non-nil iff cfg.Trace
+	threads   []string                  // tid -> thread name; tid 0 is the host
+	procs     []*proc                   // per-process state, indexed by Proc.ID(); nil until first use
 	vmEnd     map[*vmm.MicroVM]sim.Time // restore-end time per sandbox; nil unless tracing
 	ioOpen    map[int64]sim.Time        // submit time per in-flight IO id
-
-	// Faults arrive in bursts from one process; memoizing the last
-	// proc's tid and frame stack removes two map lookups per guest
-	// access on the hot path.
-	lastProc   *sim.Proc
-	lastTid    int64
-	lastFrames *frameStack
 }
 
 // Attach builds a recorder for cfg and adds it to every layer of the
@@ -110,8 +105,6 @@ func Attach(h *vmm.Host, cfg Config) *Recorder {
 		eng:       h.Eng,
 		maxEvents: DefaultMaxTraceEvents,
 		threads:   []string{"host"},
-		tids:      make(map[*sim.Proc]int64),
-		frames:    make(map[*sim.Proc]*frameStack),
 		ioOpen:    make(map[int64]sim.Time),
 	}
 	if cfg.Trace {
@@ -172,61 +165,53 @@ func (r *Report) TraceDropped() int64 { return r.m.c[cTraceDropped] }
 // ---------------------------------------------------------------------------
 // internal helpers
 
-// tid returns the trace thread id of p, assigning ids in first-use
-// order (deterministic, since the engine dispatches deterministically).
+// proc returns p's state, creating it on first use. Thread ids are
+// assigned then, in first-use order (deterministic, since the engine
+// dispatches deterministically), not in Proc.ID order.
+func (r *Recorder) proc(p *sim.Proc) *proc {
+	id := p.ID()
+	if id >= len(r.procs) {
+		r.procs = append(r.procs, make([]*proc, id+1-len(r.procs))...)
+	}
+	if r.procs[id] == nil {
+		r.procs[id] = &proc{tid: int64(len(r.threads))}
+		r.threads = append(r.threads, p.Name())
+	}
+	return r.procs[id]
+}
+
+// seen returns p's state, or nil when p is nil or not yet used.
+func (r *Recorder) seen(p *sim.Proc) *proc {
+	if p == nil || p.ID() >= len(r.procs) {
+		return nil
+	}
+	return r.procs[p.ID()]
+}
+
+// tid returns the trace thread id of p; the host (a nil p) is 0.
 func (r *Recorder) tid(p *sim.Proc) int64 {
 	if p == nil {
 		return 0
 	}
-	if p == r.lastProc {
-		return r.lastTid
-	}
-	t, ok := r.tids[p]
-	if !ok {
-		t = int64(len(r.threads))
-		r.tids[p] = t
-		r.threads = append(r.threads, p.Name())
-	}
-	r.cacheProc(p, t)
-	return t
+	return r.proc(p).tid
 }
 
-// cacheProc primes the single-entry proc memo with p's tid and frame
-// stack (creating the stack on first use).
-func (r *Recorder) cacheProc(p *sim.Proc, t int64) {
-	fs, ok := r.frames[p]
-	if !ok {
-		fs = &frameStack{}
-		r.frames[p] = fs
-	}
-	r.lastProc, r.lastTid, r.lastFrames = p, t, fs
-}
-
-func (r *Recorder) stack(p *sim.Proc) *frameStack {
-	if p == r.lastProc {
-		return r.lastFrames
-	}
-	r.tid(p) // assigns the tid and primes the memo
-	return r.lastFrames
-}
-
+// push opens f on p's frame stack; a nil p keeps no frames.
 func (r *Recorder) push(p *sim.Proc, f frame) {
-	fs := r.stack(p)
-	fs.fs = append(fs.fs, f)
+	if p != nil {
+		pr := r.proc(p)
+		pr.fs = append(pr.fs, f)
+	}
 }
 
+// pop closes p's innermost open frame, if it has one.
 func (r *Recorder) pop(p *sim.Proc) (frame, bool) {
-	var fs *frameStack
-	if p == r.lastProc {
-		fs = r.lastFrames
-	} else {
-		fs = r.frames[p]
-	}
-	if fs == nil || len(fs.fs) == 0 {
+	pr := r.seen(p)
+	if pr == nil || len(pr.fs) == 0 {
 		return frame{}, false
 	}
-	f := fs.fs[len(fs.fs)-1]
-	fs.fs = fs.fs[:len(fs.fs)-1]
+	f := pr.fs[len(pr.fs)-1]
+	pr.fs = pr.fs[:len(pr.fs)-1]
 	return f, true
 }
 
@@ -422,12 +407,8 @@ func (r *Recorder) FaultResolved(p *sim.Proc, as *hostmm.AddressSpace, page int6
 	r.m.c[faultCounter(kind)]++
 	// Attribute the resolution to the innermost open guest access of
 	// the faulting task so its span is named after how it resolved.
-	fs := r.lastFrames
-	if p != r.lastProc {
-		fs = r.frames[p]
-	}
-	if fs != nil && len(fs.fs) > 0 {
-		fs.fs[len(fs.fs)-1].kind = int8(kind) + 1
+	if pr := r.seen(p); pr != nil && len(pr.fs) > 0 {
+		pr.fs[len(pr.fs)-1].kind = int8(kind) + 1
 	}
 }
 

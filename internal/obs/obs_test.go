@@ -232,8 +232,6 @@ func testRecorder(cfg Config) (*Recorder, *sim.Proc) {
 		eng:       eng,
 		maxEvents: DefaultMaxTraceEvents,
 		threads:   []string{"host"},
-		tids:      make(map[*sim.Proc]int64),
-		frames:    make(map[*sim.Proc]*frameStack),
 		vmEnd:     make(map[*vmm.MicroVM]sim.Time),
 		ioOpen:    make(map[int64]sim.Time),
 	}

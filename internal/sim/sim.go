@@ -60,8 +60,7 @@ type event struct {
 // usable; create engines with NewEngine.
 type Engine struct {
 	now   Time
-	queue []*event // binary min-heap ordered by (at, seq)
-	free  []*event // recycled events, so steady-state dispatch allocates nothing
+	queue []event // binary min-heap ordered by (at, seq)
 	seq   uint64
 	// batchSeq delimits the batch in progress: events at now with
 	// seq <= batchSeq were scheduled before the batch began and run
@@ -71,6 +70,7 @@ type Engine struct {
 	until    Time // dispatch horizon of the Run/RunUntil in progress
 	running  bool
 	nprocs   int // live (not yet finished) processes
+	started  int // processes started so far; the next one's ID
 	obs      []Observer
 	handoff  *Proc  // the process Run resumes next, left by one that yields
 	failure  string // a panic recovered in a process, re-raised by Run
@@ -114,13 +114,13 @@ func eventLess(a, b *event) bool {
 }
 
 // push inserts ev into the heap.
-func (e *Engine) push(ev *event) {
+func (e *Engine) push(ev event) {
 	q := append(e.queue, ev)
 	// Sift up.
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(q[i], q[parent]) {
+		if !eventLess(&q[i], &q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -129,24 +129,23 @@ func (e *Engine) push(ev *event) {
 	e.queue = q
 }
 
-// pop removes and returns the earliest event. The caller recycles it
-// via recycle once the callback has run.
-func (e *Engine) pop() *event {
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
 	q := e.queue
 	ev := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = nil
+	q[n] = event{} // drop the callback and process references
 	q = q[:n]
 	// Sift down.
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && eventLess(q[l], q[smallest]) {
+		if l < n && eventLess(&q[l], &q[smallest]) {
 			smallest = l
 		}
-		if r < n && eventLess(q[r], q[smallest]) {
+		if r < n && eventLess(&q[r], &q[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
@@ -157,31 +156,6 @@ func (e *Engine) pop() *event {
 	}
 	e.queue = q
 	return ev
-}
-
-// alloc returns a zeroed event, reusing a recycled one when available.
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// maxFree bounds the free list: steady-state simulations interleave
-// scheduling and dispatch, so a small pool captures nearly all reuse,
-// while a burst of one-shot events (everything scheduled up front)
-// must not leave a queue-sized pool behind.
-const maxFree = 1024
-
-// recycle returns a dispatched event to the free list.
-func (e *Engine) recycle(ev *event) {
-	ev.fn, ev.p = nil, nil
-	if len(e.free) < maxFree {
-		e.free = append(e.free, ev)
-	}
 }
 
 // Now returns the current virtual time.
@@ -208,51 +182,44 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 // at >= now.
 func (e *Engine) schedule(at Time, fn func(), p *Proc) {
 	e.seq++
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.p = at, e.seq, fn, p
 	for _, o := range e.obs {
 		o.EventScheduled(at)
 	}
-	e.push(ev)
+	e.push(event{at: at, seq: e.seq, fn: fn, p: p})
 }
 
-// next pops the next event due at or before the horizon, or returns
-// nil when none is. An event outside the batch in progress opens a new
-// batch: the clock moves to its timestamp once, and every event queued
-// by then at that instant joins the batch, while events scheduled at
-// the same instant during the batch carry higher sequence numbers and
-// form the next one.
-func (e *Engine) next() *event {
-	if len(e.queue) == 0 {
-		return nil
+// next pops the next event due at or before the horizon, or reports
+// false when none is. An event outside the batch in progress opens a
+// new batch: the clock moves to its timestamp once, and every event
+// queued by then at that instant joins the batch, while events
+// scheduled at the same instant during the batch carry higher sequence
+// numbers and form the next one.
+func (e *Engine) next() (event, bool) {
+	if len(e.queue) == 0 || e.queue[0].at > e.until {
+		return event{}, false
 	}
-	head := e.queue[0]
-	if head.at > e.until {
-		return nil
-	}
+	head := &e.queue[0]
 	if head.at != e.now || head.seq > e.batchSeq {
 		e.now, e.batchSeq = head.at, e.seq
 		for _, o := range e.obs {
 			o.ClockAdvanced(e.now)
 		}
 	}
-	return e.pop()
+	return e.pop(), true
 }
 
 // dispatch runs due callbacks inline and returns the first process to
 // resume, or nil when no event is due.
 func (e *Engine) dispatch() *Proc {
 	for {
-		ev := e.next()
-		if ev == nil {
+		ev, ok := e.next()
+		if !ok {
 			return nil
 		}
-		fn, p := ev.fn, ev.p
-		e.recycle(ev)
-		if fn == nil {
-			return p
+		if ev.fn == nil {
+			return ev.p
 		}
-		fn()
+		ev.fn()
 	}
 }
 
@@ -301,6 +268,7 @@ func (e *Engine) run(until Time) {
 type Proc struct {
 	eng   *Engine
 	name  string
+	id    int
 	fn    func(p *Proc)           // body, run by the coroutine
 	next  func() (struct{}, bool) // resumes the coroutine; nil until the first dispatch
 	yield func(struct{}) bool     // suspends the coroutine back to next's caller
@@ -311,6 +279,11 @@ func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
+
+// ID returns the process's start index on its engine: processes are
+// numbered from 0 in the order Go and GoAfter started them, so
+// per-process observer state can live in a slice indexed by ID.
+func (p *Proc) ID() int { return p.id }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -326,7 +299,8 @@ func (e *Engine) GoAfter(delay Duration, name string, fn func(p *Proc)) *Proc {
 	if delay < 0 {
 		delay = 0
 	}
-	p := &Proc{eng: e, name: name, fn: fn}
+	p := &Proc{eng: e, name: name, id: e.started, fn: fn}
+	e.started++
 	e.nprocs++
 	e.schedule(e.now.Add(delay), nil, p)
 	return p

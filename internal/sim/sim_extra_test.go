@@ -179,8 +179,8 @@ func TestSameTimestampBatchFIFO(t *testing.T) {
 }
 
 func TestEventReuseAcrossRuns(t *testing.T) {
-	// Interleaved schedule/run cycles exercise the free list; events
-	// must never fire twice or be lost after recycling.
+	// Interleaved schedule/run cycles reuse the heap's slots; events
+	// must never fire twice or be lost when a slot is reused.
 	e := NewEngine()
 	fired := 0
 	for round := 0; round < 50; round++ {
@@ -245,8 +245,8 @@ func TestRunIsNotReentrant(t *testing.T) {
 }
 
 func TestWakeAllocs(t *testing.T) {
-	// Each measured step resumes one blocked process; events come from
-	// the free list, so no step may allocate.
+	// Each measured step resumes one blocked process; events are held
+	// by value in the heap's reused slice, so no step may allocate.
 	const runs = 100
 	t.Run("sleep", func(t *testing.T) {
 		e := NewEngine()

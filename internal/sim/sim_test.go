@@ -327,3 +327,34 @@ func TestProcSpawnsProc(t *testing.T) {
 		t.Fatalf("childAt = %v, want 15", childAt)
 	}
 }
+
+// TestProcIDsInStartOrder pins Proc.ID: processes are numbered from 0
+// in the order Go and GoAfter start them, per engine, whatever order
+// they run in, including a process started from inside another.
+func TestProcIDsInStartOrder(t *testing.T) {
+	e := NewEngine()
+	seen := map[string]int{}
+	body := func(p *Proc) { seen[p.Name()] = p.ID() }
+	late := e.GoAfter(10, "late", body)
+	parent := e.Go("parent", func(p *Proc) {
+		body(p)
+		p.Sleep(1)
+		p.Engine().Go("child", body)
+	})
+	sibling := e.Go("sibling", body)
+	e.Run()
+	for _, p := range []*Proc{late, parent, sibling} {
+		if p.ID() != seen[p.Name()] {
+			t.Errorf("%s: ID %d after start, %d inside", p.Name(), p.ID(), seen[p.Name()])
+		}
+	}
+	want := map[string]int{"late": 0, "parent": 1, "sibling": 2, "child": 3}
+	for name, id := range want {
+		if got, ok := seen[name]; !ok || got != id {
+			t.Errorf("%s: ID %d (ran %v), want %d", name, got, ok, id)
+		}
+	}
+	if id := NewEngine().Go("first", body).ID(); id != 0 {
+		t.Errorf("a new engine's first process has ID %d, want 0", id)
+	}
+}
