@@ -39,6 +39,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"snapbpf/internal/faults"
@@ -150,7 +151,7 @@ type inodeShadow struct {
 	// FilePageMapped/FilePageUnmapped events only.
 	refs []int32
 	// tags is the file's content-tag table, nil when the harness does
-	// not know the contents.
+	// not know the contents. Read-only: other checkers may share it.
 	tags []uint64
 }
 
@@ -322,15 +323,28 @@ func New(h *vmm.Host, inj *faults.Injector) *Checker {
 }
 
 // RegisterFileTags declares the content-tag table of a file: tags[i]
-// is the content of file page i. The experiment runner registers the
-// snapshot memory file; schemes register their working-set artifacts
-// through the prefetch.Observer ArtifactRegistered event.
+// is the content of file page i. The checker keeps tags itself, without
+// a copy, and the caller must never mutate it afterwards; several
+// checkers may share one table. The testbed registers each snapshot
+// memory file with a copy no scheme sees; schemes register their
+// working-set artifacts through the prefetch.Observer
+// ArtifactRegistered event, which copies them first.
 func (c *Checker) RegisterFileTags(ino *pagecache.Inode, tags []uint64) {
 	if int64(len(tags)) != ino.NrPages() {
 		c.violatef("artifact-size", "%s: %d tags declared for %d file pages",
 			ino.Name(), len(tags), ino.NrPages())
 	}
-	c.inode(ino).tags = append([]uint64(nil), tags...)
+	c.inode(ino).tags = tags
+}
+
+// FileTags returns the content-tag table registered for ino, nil when
+// none was. The slice is the checker's reference: read it, never write
+// it.
+func (c *Checker) FileTags(ino *pagecache.Inode) []uint64 {
+	if id := ino.ID(); id < uint64(len(c.inodes)) && c.inodes[id] != nil && c.inodes[id].ino == ino {
+		return c.inodes[id].tags
+	}
+	return nil
 }
 
 // Violations returns the recorded breaches (capped at maxViolations).
@@ -847,9 +861,11 @@ func (c *Checker) RecordDone(scheme string, wsPages int64) {
 	c.recordsDone++
 }
 
-// ArtifactRegistered implements prefetch.Observer.
+// ArtifactRegistered implements prefetch.Observer. The tags come from
+// the scheme under test, so the checker keeps its own copy: a scheme
+// that later writes through its slice cannot move the reference.
 func (c *Checker) ArtifactRegistered(ino *pagecache.Inode, tags []uint64) {
-	c.RegisterFileTags(ino, tags)
+	c.RegisterFileTags(ino, slices.Clone(tags))
 }
 
 // PrepareDone implements prefetch.Observer.

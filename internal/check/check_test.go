@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,6 +75,28 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 // directly — an extra MapPage with no address-space event behind it,
 // exactly the kind of accounting bug the dedup cross-check exists for —
 // and requires Finish to flag it.
+// A scheme's artifact tags are copied on registration, so a scheme
+// that writes through its slice afterwards cannot move the checker's
+// reference. A harness table is kept as given.
+func TestArtifactTagsCopied(t *testing.T) {
+	h := vmm.NewHost(blockdev.MicronSATA5300())
+	c := New(h, nil)
+	ws, snap := h.Cache.NewInode("ws", 4), h.Cache.NewInode("snap", 4)
+	tags := []uint64{1, 2, 3, 4}
+	c.ArtifactRegistered(ws, tags)
+	tags[0], tags[3] = 99, 99
+	if got := c.FileTags(ws); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("artifact tags after the scheme's write = %v, want [1 2 3 4]", got)
+	}
+	c.RegisterFileTags(snap, tags)
+	if got := c.FileTags(snap); &got[0] != &tags[0] {
+		t.Fatal("RegisterFileTags copied the harness's table")
+	}
+	if got := c.FileTags(h.Cache.NewInode("unknown", 4)); got != nil {
+		t.Fatalf("tags of an unregistered file = %v, want nil", got)
+	}
+}
+
 func TestBrokenDedupCounterCaught(t *testing.T) {
 	chk, _, vm, env := runChecked(t)
 	chk.VMDone(vm)

@@ -50,7 +50,7 @@ func TestKprobeBeforeObserverCaught(t *testing.T) {
 		sab := &kprobeFirst{h: vh}
 		vh.Cache.AddObserver(sab)
 		h := testbed.Arm(vh, "", testbed.Arming{Check: true})
-		f := h.Stage(fn, snapbpf)
+		f := h.Stage(testbed.NewFunc(fn, snapbpf))
 		if err := testbed.Record(0, h); err != nil {
 			t.Fatal(err)
 		}

@@ -237,6 +237,16 @@ func Run(cfg Config) (*Result, error) {
 		fnByName[name] = f
 	}
 
+	// Each function's trace and snapshot image are built once and
+	// shared by every host (DESIGN.md §13), and so is the compute time
+	// a warm hit costs.
+	funcs := make([]*testbed.Func, len(fnNames))
+	warmExec := make([]time.Duration, len(fnNames))
+	for i, name := range fnNames {
+		funcs[i] = testbed.NewFunc(fnByName[name], cfg.Scheme)
+		warmExec[i] = funcs[i].Trace.Summarize().TotalCompute
+	}
+
 	// --- Build the region: N hosts on one engine ---
 	eng := sim.NewEngine()
 	hosts := make([]*host, cfg.Hosts)
@@ -259,9 +269,8 @@ func Run(cfg Config) (*Result, error) {
 		})
 		remote = tb.Remote
 		ho := &host{Host: tb, fns: make(map[string]*hostFn, len(fnNames))}
-		for _, fname := range fnNames {
-			f := tb.Stage(fnByName[fname], cfg.Scheme)
-			ho.fns[fname] = &hostFn{Fn: f, warmExec: f.Env.InvokeTrace.Summarize().TotalCompute}
+		for j, f := range funcs {
+			ho.fns[f.Fn.Name] = &hostFn{Fn: tb.Stage(f), warmExec: warmExec[j]}
 		}
 		hosts[i], armed[i] = ho, tb
 	}

@@ -1,8 +1,9 @@
 package ebpf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MapType enumerates the supported eBPF map flavours.
@@ -170,9 +171,12 @@ func (m *Map) Entries() []Entry {
 	var out []Entry
 	switch m.typ {
 	case MapTypeHash:
+		out = make([]Entry, 0, len(m.hash))
 		for k, v := range m.hash {
 			out = append(out, Entry{k, v})
 		}
+		// Keys are unique, so an unstable sort gives one order.
+		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
 	case MapTypeArray:
 		for i, ok := range m.set {
 			if ok {
@@ -180,6 +184,5 @@ func (m *Map) Entries() []Entry {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

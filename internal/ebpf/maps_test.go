@@ -83,6 +83,27 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
+// A hash map filled in descending key order dumps in ascending order,
+// each key with its own value.
+func TestEntriesDescendingFill(t *testing.T) {
+	const n = 1000
+	m := MustNewMap(MapTypeHash, "ws", n)
+	for k := uint64(n); k >= 1; k-- {
+		if err := m.Update(k, k*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	es := m.Entries()
+	if len(es) != n {
+		t.Fatalf("len = %d, want %d", len(es), n)
+	}
+	for i, e := range es {
+		if want := uint64(i + 1); e.Key != want || e.Value != want*3 {
+			t.Fatalf("entry %d = %+v, want {%d %d}", i, e, want, want*3)
+		}
+	}
+}
+
 func TestClear(t *testing.T) {
 	for _, typ := range []MapType{MapTypeHash, MapTypeArray} {
 		m := MustNewMap(typ, "m", 8)

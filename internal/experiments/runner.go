@@ -229,7 +229,7 @@ func (cfg *Config) measure(label string, scheme Scheme, fns []workload.Function,
 	})
 	s := &measurement{h: h}
 	for _, fn := range fns {
-		s.staged = append(s.staged, h.Stage(fn, scheme))
+		s.staged = append(s.staged, h.Stage(testbed.NewFunc(fn, scheme)))
 	}
 	if err := testbed.Record(cfg.CacheLimitPages, h); err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)

@@ -1,10 +1,17 @@
 // Package testbed is the cold-start protocol every harness shares —
 // the method REAP introduced and the paper follows: record once on a
-// host, drop the caches, then measure restores on the same stack. Arm
-// a host, Stage each function on it, Record, then run each sandbox
-// with ColdStart. The single-host runners (experiments.Run, RunWaves,
-// RunMixed) and the region simulator (cluster.Run) keep only their own
-// scheduling on top.
+// host, drop the caches, then measure restores on the same stack. Build
+// each function once with NewFunc, Arm each host, Stage every function
+// on it, Record, then run each sandbox with ColdStart. The single-host
+// runners (experiments.Run, RunWaves, RunMixed) and the region
+// simulator (cluster.Run) keep only their own scheduling on top.
+//
+// A function's snapshot memory file and trace belong to the function,
+// not to a host: a Func (trace, image, the checkers' reference tags)
+// is built once per run and every host stages that one copy. What a
+// host owns is built by Stage: the scheme instance, the snapshot inode
+// and its checker registration, the chunk manifest and binding, and
+// the scheme's Env.
 //
 // The package owns the orderings each caller used to get right by
 // hand: arm before the first simulated event, declare the snapshot's
@@ -15,12 +22,14 @@ package testbed
 
 import (
 	"fmt"
+	"slices"
 
 	"snapbpf/internal/check"
 	"snapbpf/internal/faults"
 	"snapbpf/internal/obs"
 	"snapbpf/internal/prefetch"
 	"snapbpf/internal/sim"
+	"snapbpf/internal/snapshot"
 	"snapbpf/internal/store"
 	"snapbpf/internal/trace"
 	"snapbpf/internal/vmm"
@@ -114,6 +123,35 @@ type Scheme struct {
 	New  func() prefetch.Prefetcher
 }
 
+// Func is the host-independent half of staging one function: its
+// generated trace, its snapshot image for the scheme, and a private
+// copy of the image's page tags that checkers keep as their reference.
+// Build it once per run and Stage it on every host of the run; the
+// hosts share it read-only. Traces are read-only once generated, and
+// only vmm.BuildImage writes an image, so no host can see another's
+// run through it.
+type Func struct {
+	Fn    workload.Function
+	Trace *trace.Trace
+	Image *snapshot.MemoryImage
+
+	// scheme builds each host's instance; the image is built for it.
+	scheme Scheme
+	// tags is a copy of Image.PageTags that no scheme sees: what the
+	// checker reads as the file's contents cannot change with the code
+	// under test.
+	tags []uint64
+}
+
+// NewFunc generates fn's trace and builds its snapshot image for
+// scheme. The record and measured invocations share the trace: both
+// runs take identical inputs.
+func NewFunc(fn workload.Function, scheme Scheme) *Func {
+	img := vmm.BuildImage(fn, scheme.New().RestoreConfig(0).ZeroOnFree)
+	return &Func{Fn: fn, Trace: fn.GenTrace(), Image: img, scheme: scheme,
+		tags: slices.Clone(img.PageTags)}
+}
+
 // Fn is one function staged on a host: its scheme instance, the
 // scheme's view of the host, and the snapshot's chunk binding (nil on
 // local SSD).
@@ -123,28 +161,24 @@ type Fn struct {
 	Bind *store.Binding
 }
 
-// Stage builds a fresh instance of scheme for fn, builds fn's
-// snapshot image for it, registers the image as a file on h, declares
-// its contents to the checker and builds the scheme's Env. The record
-// and measured invocations share one generated trace: traces are
-// read-only once generated, and both runs take identical inputs. With
-// a chunk cache, the snapshot's manifest is bound to it. Functions
-// record and preload in staging order.
-func (h *Host) Stage(fn workload.Function, scheme Scheme) *Fn {
-	pf := scheme.New()
-	tr := fn.GenTrace()
-	img := vmm.BuildImage(fn, pf.RestoreConfig(0).ZeroOnFree)
-	inode := h.RegisterSnapshot(h.label(fn.Name+".snapmem"), img)
+// Stage builds a fresh instance of f's scheme for this host, registers
+// f's image as a snapshot file on h, declares its contents to the
+// checker and builds the scheme's Env. With a chunk cache, the
+// snapshot's manifest is built and bound to it; the manifest is the
+// host's own, because the sabotage and permutation knobs edit it.
+// Functions record and preload in staging order.
+func (h *Host) Stage(f *Func) *Fn {
+	inode := h.RegisterSnapshot(h.label(f.Fn.Name+".snapmem"), f.Image)
 	if h.Chk != nil {
-		h.Chk.RegisterFileTags(inode, img.PageTags)
+		h.Chk.RegisterFileTags(inode, f.tags)
 	}
-	f := &Fn{PF: pf, Env: &prefetch.Env{
+	sf := &Fn{PF: f.scheme.New(), Env: &prefetch.Env{
 		Host:        h.Host,
-		Fn:          fn,
-		Image:       img,
+		Fn:          f.Fn,
+		Image:       f.Image,
 		SnapInode:   inode,
-		RecordTrace: tr,
-		InvokeTrace: tr,
+		RecordTrace: f.Trace,
+		InvokeTrace: f.Trace,
 		Faults:      h.Inj,
 		Observers:   h.observers,
 	}}
@@ -152,7 +186,7 @@ func (h *Host) Stage(fn workload.Function, scheme Scheme) *Fn {
 		// The snapshot's chunks live in the remote store: device reads
 		// of its inode are staged behind the chunk cache, and a
 		// scheme's captured offsets feed the chunk-priority plan.
-		man := store.BuildManifest(fn.Name, img.PageTags, h.Remote.Params().ChunkPages)
+		man := store.BuildManifest(f.Fn.Name, f.Image.PageTags, h.Remote.Params().ChunkPages)
 		if k := h.setup.SabotageChunk; k > 0 && k <= len(man.Chunks) {
 			// Test knob: forge one manifest hash (stale manifest /
 			// corrupt chunk); the checker must flag the fetch.
@@ -161,12 +195,12 @@ func (h *Host) Stage(fn workload.Function, scheme Scheme) *Fn {
 		if h.setup.PermuteChunks != 0 {
 			store.PermuteChunks(man, h.setup.PermuteChunks)
 		}
-		f.Bind = h.Chunks.Bind(man, h.setup.Policy, img.PageTags)
-		inode.SetStager(f.Bind)
-		f.Env.ChunkPlan = f.Bind.Plan
+		sf.Bind = h.Chunks.Bind(man, h.setup.Policy, f.Image.PageTags)
+		inode.SetStager(sf.Bind)
+		sf.Env.ChunkPlan = sf.Bind.Plan
 	}
-	h.staged = append(h.staged, f)
-	return f
+	h.staged = append(h.staged, sf)
+	return sf
 }
 
 // Record runs the record phase of every function staged on hosts,

@@ -48,7 +48,7 @@ func coldStarts(t *testing.T, h *Host, f *Fn, n int) []Sandbox {
 // out of Finish, once the sandboxes are gone.
 func TestArmedColdStart(t *testing.T) {
 	h := Arm(vmm.NewHost(blockdev.MicronSATA5300()), "", Arming{Check: true, Obs: &obs.Config{Metrics: true}})
-	f := h.Stage(tinyFn("tiny"), linuxRA)
+	f := h.Stage(NewFunc(tinyFn("tiny"), linuxRA))
 	if err := Record(0, h); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestArmedColdStart(t *testing.T) {
 // neither a record nor a cold start writes to it.
 func TestStagedTraceSharedAndReadOnly(t *testing.T) {
 	h := Arm(vmm.NewHost(blockdev.MicronSATA5300()), "", Arming{Check: true})
-	f := h.Stage(tinyFn("tiny"), linuxRA)
+	f := h.Stage(NewFunc(tinyFn("tiny"), linuxRA))
 	tr := f.Env.InvokeTrace
 	if f.Env.RecordTrace != tr {
 		t.Fatal("record and invoke traces are separate copies")
@@ -99,7 +99,7 @@ func TestUnarmedHost(t *testing.T) {
 	if h.Inj != nil || h.Chk != nil || h.Rec != nil || h.Chunks != nil || h.Remote != nil {
 		t.Fatalf("unarmed host has attachments: %+v", h)
 	}
-	f := h.Stage(tinyFn("tiny"), linuxRA)
+	f := h.Stage(NewFunc(tinyFn("tiny"), linuxRA))
 	if f.Bind != nil || f.Env.ChunkPlan != nil || len(f.Env.Observers) != 0 {
 		t.Fatalf("local-SSD staging bound a store or observers: %+v", f)
 	}
@@ -132,16 +132,19 @@ func TestRecordStopsAtFirstFailure(t *testing.T) {
 		recorded++
 		return prefetch.NewLinuxRA()
 	}}
-	a.Stage(tinyFn("one"), counting)
-	b.Stage(tinyFn("two"), Scheme{Name: "failing", New: func() prefetch.Prefetcher {
+	one, two := NewFunc(tinyFn("one"), counting), NewFunc(tinyFn("two"), Scheme{Name: "failing", New: func() prefetch.Prefetcher {
 		return failingRecord{prefetch.NewLinuxRA()}
 	}})
-	three := b.Stage(tinyFn("three"), counting)
+	three := NewFunc(tinyFn("three"), counting)
+	recorded = 0 // NewFunc asks an instance for its restore config; count Stage's alone
+	a.Stage(one)
+	b.Stage(two)
+	staged := b.Stage(three)
 	err := Record(0, a, b)
 	if err == nil || !strings.Contains(err.Error(), "b/two") || !strings.Contains(err.Error(), "record exploded") {
 		t.Fatalf("Record error %v: want the failure of b/two", err)
 	}
-	if got := three.Env.SnapInode.Name(); got != "b/three.snapmem" {
+	if got := staged.Env.SnapInode.Name(); got != "b/three.snapmem" {
 		t.Fatalf("second staged file on b is %q", got)
 	}
 	if recorded != 2 {
@@ -157,7 +160,7 @@ func TestRecordStartsChunkCacheTiers(t *testing.T) {
 		h := Arm(vmm.NewHost(blockdev.MicronSATA5300()), "", Arming{
 			Check: true, Store: &store.Setup{Tier: tier, Policy: store.PolicyDemand},
 		})
-		f := h.Stage(tinyFn("tiny"), linuxRA)
+		f := h.Stage(NewFunc(tinyFn("tiny"), linuxRA))
 		if f.Bind == nil || f.Env.ChunkPlan == nil {
 			t.Fatalf("%v: no chunk binding", tier)
 		}
